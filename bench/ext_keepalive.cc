@@ -5,14 +5,15 @@
 // where keeping warm VMs has more overhead than benefit." This bench quantifies
 // that tradeoff: Poisson arrivals at rates from the Azure-trace regimes (less
 // than half of all functions are invoked every hour; <10% every minute), a
-// 10-minute keep-alive window, and three miss paths. Reported per cell: mean
-// latency and the time-averaged host memory pinned by the warm VM.
+// 10-minute keep-alive window, and three miss paths. Each cell serves the one
+// function on a closed-loop HostScheduler. Reported per cell: mean latency and
+// the time-averaged host memory pinned by the warm VM.
 
 #include <cstdio>
 #include <iterator>
 
 #include "bench/bench_util.h"
-#include "src/runtime/keepalive.h"
+#include "src/runtime/host_scheduler.h"
 
 namespace faasnap {
 namespace bench {
@@ -47,25 +48,26 @@ void Run(int arrivals) {
     for (size_t rate_index = 0; rate_index < std::size(rates); ++rate_index) {
       const Rate& rate = rates[rate_index];
       for (RestoreMode miss_mode : miss_modes) {
-        PlatformConfig config;
-        Platform platform(config);
+        Platform platform;
+        HostSchedulerConfig sched;
+        sched.keep_warm = Duration::Seconds(600);
+        sched.miss_mode = miss_mode;
+        HostScheduler scheduler(&platform, sched);
         Result<FunctionSpec> spec = FindFunction(function);
         FAASNAP_CHECK_OK(spec.status());
-        TraceGenerator generator(*spec, config.layout);
-        FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(*spec));
-
-        KeepAliveSimulator simulator(&platform, &snapshot, &generator);
-        KeepAliveConfig ka;
-        ka.keep_warm = Duration::Seconds(600);
-        ka.miss_mode = miss_mode;
-        KeepAliveStats stats = simulator.Run(gaps_by_rate[rate_index], ka);
+        const size_t index = scheduler.AddFunction(*spec);
+        std::vector<Arrival> schedule;
+        for (const Duration& gap : gaps_by_rate[rate_index]) {
+          schedule.push_back(Arrival{index, gap});
+        }
+        HostSchedulerStats stats = scheduler.Run(schedule);
 
         // Estimate the miss-path latency as the max observed (misses dominate it).
         table.AddRow({rate.label, std::string(RestoreModeName(miss_mode)),
                       FormatCell("%.0f%%", 100.0 * stats.warm_hit_rate()),
                       FormatCell("%.1f", stats.latency_ms.mean()),
                       FormatCell("%.1f", stats.latency_ms.max()),
-                      FormatCell("%.1f", stats.avg_warm_resident_bytes / (1024.0 * 1024.0))});
+                      FormatCell("%.1f", stats.avg_pool_bytes / (1024.0 * 1024.0))});
       }
     }
     std::printf("## %s\n%s\n", function.c_str(), table.ToString().c_str());

@@ -4,8 +4,8 @@
 #include <fstream>
 #include <memory>
 
+#include "src/common/json_writer.h"
 #include "src/runtime/platform.h"
-#include "src/metrics/json_writer.h"
 #include "src/metrics/table.h"
 #include "src/obs/observability.h"
 #include "src/obs/trace_export.h"

@@ -81,15 +81,7 @@ void HostScheduler::MarkCold(Entry* entry) {
   lru_.erase(entry->lru_it);
 }
 
-void HostScheduler::ReclaimAndEvict(ByteCount needed, Duration keep_warm,
-                                    HostSchedulerStats* stats) {
-  const SimTime now = platform_->sim()->now();
-  // Keep-alive horizon first. The LRU list is ordered by last_used, so the
-  // expired entries are exactly its prefix.
-  while (!lru_.empty() && now - lru_.front()->last_used > keep_warm) {
-    MarkCold(lru_.front());
-    stats->expirations++;
-  }
+void HostScheduler::EvictToFit(ByteCount needed, HostSchedulerStats* stats) {
   // LRU eviction under pool pressure ("evict to snapshot"). If nothing is left
   // to evict, the new VM may exceed the budget alone.
   while (pool_bytes_ + needed > config_.warm_pool_budget_bytes && !lru_.empty()) {
@@ -107,120 +99,9 @@ void HostScheduler::EvictIdleBytes(ByteCount bytes, HostSchedulerStats* stats) {
   }
 }
 
-HostSchedulerStats HostScheduler::Run(const std::vector<Arrival>& arrivals) {
-  return config_.open_loop ? RunOpenLoop(arrivals) : RunClosedLoop(arrivals);
-}
-
-HostSchedulerStats HostScheduler::RunClosedLoop(const std::vector<Arrival>& arrivals) {
-  HostSchedulerStats stats;
-  stats.per_function_hits.assign(entries_.size(), 0);
-  stats.per_function_invocations.assign(entries_.size(), 0);
-  Simulation* sim = platform_->sim();
-  const SimTime span_start = sim->now();
-  SimTime last_completion = sim->now();
-  double pool_byte_time = 0;
-  uint64_t arrival_seed = 0x5c4ed;
-  const ServeCounters counters{&stats.restore_failures, &stats.quarantines,
-                               &stats.quarantined_serves};
-
-  MetricsRegistry* metrics = platform_->metrics();
-  Counter* warm_hits_metric = nullptr;
-  Counter* misses_metric = nullptr;
-  Gauge* pool_gauge = nullptr;
-  if (metrics != nullptr) {
-    warm_hits_metric = metrics->GetCounter("scheduler.warm_hits");
-    misses_metric = metrics->GetCounter("scheduler.misses");
-    pool_gauge = metrics->GetGauge("scheduler.pool_bytes");
-  }
-
-  for (const Arrival& arrival : arrivals) {
-    FAASNAP_CHECK(arrival.function_index < entries_.size());
-    const SimTime at = last_completion + arrival.gap;
-    const SimTime before = sim->now();
-    sim->RunUntil(at);
-    pool_byte_time += static_cast<double>(pool_bytes_.value()) * (sim->now() - before).seconds();
-
-    Entry& entry = *entries_[arrival.function_index];
-    ReclaimAndEvict(entry.warm ? ByteCount::Zero() : entry.ws_bytes, config_.keep_warm, &stats);
-    const bool warm = entry.warm;
-    if (!warm) {
-      // Cold pool slot: this function's pages are not resident; other tenants
-      // also recycled the page cache while we idled.
-      platform_->DropCaches();
-    }
-
-    WorkloadInput input = MakeInputA(entry.generator->spec());
-    if (!entry.generator->spec().fixed_input) {
-      input.content_seed = ++arrival_seed;
-    }
-    ServeParams params;
-    params.warm = warm;
-    params.miss_mode = config_.miss_mode;
-    params.quarantine_failure_threshold = config_.quarantine_failure_threshold;
-    params.quarantine_backoff = config_.quarantine_backoff;
-    params.function_index = arrival.function_index;
-    const PlannedServe planned = BeginServe(platform_, params, &entry.health, counters);
-    bool done = false;
-    Duration latency;
-    InvocationOutcome outcome = InvocationOutcome::kOk;
-    platform_->InvokeAsync(*entry.snapshot, planned.mode,
-                           entry.generator->Generate(input), [&](InvocationReport report) {
-                             latency = report.total_time();
-                             outcome = report.outcome;
-                             done = true;
-                           });
-    sim->Run();
-    FAASNAP_CHECK(done);
-    // The serve span ends (and quarantine bookkeeping stamps) at the
-    // post-drain clock, as the serial loop always has.
-    FinishServe(platform_, planned, outcome, params, &entry.health, counters);
-
-    stats.invocations++;
-    stats.per_function_invocations[arrival.function_index]++;
-    entry.served_once = true;
-    if (warm) {
-      stats.warm_hits++;
-      stats.per_function_hits[arrival.function_index]++;
-    } else {
-      stats.misses++;
-      stats.miss_latency_ms.Record(latency.millis());
-    }
-    stats.latency_ms.Record(latency.millis());
-    pool_byte_time +=
-        static_cast<double>((pool_bytes_ + (warm ? ByteCount::Zero() : entry.ws_bytes)).value()) *
-        latency.seconds();
-
-    if (warm_hits_metric != nullptr) {
-      (warm ? warm_hits_metric : misses_metric)->Add(1);
-    }
-
-    // A failed invocation leaves no VM behind to keep warm.
-    if (outcome != InvocationOutcome::kFailed) {
-      MarkWarm(&entry, sim->now());
-    } else {
-      MarkCold(&entry);
-      entry.last_used = sim->now();
-    }
-    last_completion = sim->now();
-    if (pool_gauge != nullptr) {
-      pool_gauge->Set(static_cast<double>(pool_bytes_.value()));
-    }
-  }
-
-  stats.span = sim->now() - span_start;
-  if (stats.span > Duration::Zero()) {
-    stats.avg_pool_bytes = pool_byte_time / stats.span.seconds();
-  }
-  if (metrics != nullptr) {
-    metrics->GetCounter("scheduler.evictions")->Add(stats.evictions);
-    metrics->GetCounter("scheduler.expirations")->Add(stats.expirations);
-  }
-  return stats;
-}
-
-// Live state of one open-loop run. Heap-held (stable address) because the
-// admission hooks, pressure overrides, and completion callbacks all point
-// into it while the run is in flight — possibly across many cluster epochs.
+// Live state of one run. Heap-held (stable address) because the admission
+// hooks, pressure overrides, and completion callbacks all point into it while
+// the run is in flight — possibly across many cluster epochs.
 struct HostScheduler::OpenLoopState {
   explicit OpenLoopState(const PressureLadderConfig& ladder_config) : ladder(ladder_config) {}
 
@@ -302,10 +183,25 @@ void HostScheduler::OfferAt(size_t function_index, SimTime at) {
 
 void HostScheduler::OpenLoopAccrue(SimTime now) {
   OpenLoopState& ol = *open_loop_;
-  ol.pool_byte_time +=
-      static_cast<double>((pool_bytes_ + ol.admission->committed_bytes()).value()) *
-      (now - ol.last_accrual).seconds();
-  ol.last_accrual = now;
+  const auto accrue_until = [&](SimTime t) {
+    if (t > ol.last_accrual) {
+      ol.pool_byte_time +=
+          static_cast<double>((pool_bytes_ + ol.admission->committed_bytes()).value()) *
+          (t - ol.last_accrual).seconds();
+      ol.last_accrual = t;
+    }
+  };
+  // Idle VMs past the keep-alive horizon were reclaimed at their expiry, not
+  // at this event: charge each one only up to its own expiry. The LRU list is
+  // ordered by last_used, so the expired entries are exactly its prefix. L3
+  // tightens the horizon; idle VMs go back to snapshots sooner.
+  const Duration horizon = ScaleDuration(config_.keep_warm, ol.ladder.keep_warm_scale());
+  while (!lru_.empty() && now - lru_.front()->last_used > horizon) {
+    accrue_until(lru_.front()->last_used + horizon);
+    MarkCold(lru_.front());
+    ol.stats.expirations++;
+  }
+  accrue_until(now);
 }
 
 void HostScheduler::OpenLoopUpdateLadder() {
@@ -360,57 +256,74 @@ void HostScheduler::OpenLoopShed(const AdmissionRequest& request, InvocationOutc
 void HostScheduler::OpenLoopRun(const AdmissionRequest& request, Duration wait) {
   OpenLoopState& ol = *open_loop_;
   const SimTime now = platform_->sim()->now();
+  // Also retires the VMs idle past the keep-alive horizon.
   OpenLoopAccrue(now);
-  const ServeCounters counters{&ol.stats.restore_failures, &ol.stats.quarantines,
-                               &ol.stats.quarantined_serves};
   Entry& entry = *entries_[request.function_index];
-  // L3 tightens the keep-alive horizon; idle VMs go back to snapshots sooner.
-  ReclaimAndEvict(entry.warm ? ByteCount::Zero() : entry.ws_bytes,
-                  ScaleDuration(config_.keep_warm, ol.ladder.keep_warm_scale()), &ol.stats);
+  EvictToFit(entry.warm ? ByteCount::Zero() : entry.ws_bytes, &ol.stats);
   const bool warm = entry.warm;
   if (warm) {
     // The warm VM leaves the idle pool while running; its bytes are charged
     // to the admission controller's in-flight accounting instead.
     MarkCold(&entry);
+  } else if (!config_.open_loop) {
+    // Cold pool slot in the closed loop: this function's pages are not
+    // resident; other tenants also recycled the page cache while it idled.
+    // (The open loop shares the page cache with concurrent in-flight restores,
+    // and dropping it would clobber them mid-flight.)
+    platform_->DropCaches();
   }
   ++entry.running;
   ol.stats.queue_wait_ms.Record(wait.millis());
-  // No DropCaches on misses here: the page cache is shared with concurrent
-  // in-flight restores, and dropping it would clobber them mid-flight.
 
   WorkloadInput input = MakeInputA(entry.generator->spec());
   if (!entry.generator->spec().fixed_input) {
     input.content_seed = ol.seeds[request.id];
   }
-  ServeParams params;
-  params.warm = warm;
-  params.miss_mode = config_.miss_mode;
-  if (!warm && ol.ladder.demote_restore_mode() && DemotableToReap(config_.miss_mode)) {
+  RestoreMode mode = warm ? RestoreMode::kWarm : config_.miss_mode;
+  if (!warm && ol.ladder.demote_restore_mode() && DemotableToReap(mode)) {
     // L2: serve the miss WS-only instead of prefetching the full snapshot.
-    params.miss_mode = RestoreMode::kReap;
+    mode = RestoreMode::kReap;
     ++ol.stats.pressure_demotions;
   }
-  params.quarantine_failure_threshold = config_.quarantine_failure_threshold;
-  params.quarantine_backoff = config_.quarantine_backoff;
-  params.function_index = request.function_index;
-  const PlannedServe planned = BeginServe(platform_, params, &entry.health, counters);
-  platform_->InvokeAsync(*entry.snapshot, planned.mode, entry.generator->Generate(input),
-                         [this, request, params, planned, warm](InvocationReport report) {
-                           OpenLoopComplete(request, params, planned, warm, report);
+  if (!warm && now < entry.quarantined_until) {
+    // The snapshot is benched after repeated failed restores: cold-boot.
+    mode = RestoreMode::kColdBoot;
+    ++ol.stats.quarantined_serves;
+  }
+  SpanId span = kNoSpan;
+  if (SpanTracer* spans = platform_->spans(); spans != nullptr) {
+    span = spans->Begin(now, ObsLane::kScheduler, obsname::kSchedulerServe,
+                        request.function_index, warm ? 1 : 0);
+  }
+  platform_->InvokeAsync(*entry.snapshot, mode, entry.generator->Generate(input),
+                         [this, request, mode, warm, span](InvocationReport report) {
+                           OpenLoopComplete(request, mode, warm, span, report);
                          });
 }
 
-void HostScheduler::OpenLoopComplete(const AdmissionRequest& request, const ServeParams& params,
-                                     const PlannedServe& planned, bool warm,
-                                     const InvocationReport& report) {
+void HostScheduler::OpenLoopComplete(const AdmissionRequest& request, RestoreMode mode, bool warm,
+                                     SpanId span, const InvocationReport& report) {
   OpenLoopState& ol = *open_loop_;
   const SimTime done_at = platform_->sim()->now();
   OpenLoopAccrue(done_at);
-  const ServeCounters counters{&ol.stats.restore_failures, &ol.stats.quarantines,
-                               &ol.stats.quarantined_serves};
   Entry& served = *entries_[request.function_index];
   --served.running;
-  FinishServe(platform_, planned, report.outcome, params, &served.health, counters);
+  if (!warm && mode != RestoreMode::kColdBoot) {
+    // Snapshot restore health: bench the snapshot after repeated failures.
+    if (report.outcome == InvocationOutcome::kFailed) {
+      ++ol.stats.restore_failures;
+      if (++served.consecutive_failures >= config_.quarantine_failure_threshold) {
+        served.quarantined_until = done_at + config_.quarantine_backoff;
+        served.consecutive_failures = 0;
+        ++ol.stats.quarantines;
+      }
+    } else {
+      served.consecutive_failures = 0;
+    }
+  }
+  if (SpanTracer* spans = platform_->spans(); spans != nullptr) {
+    spans->End(span, done_at);
+  }
   const Duration latency = report.total_time();
   ol.stats.invocations++;
   ol.stats.per_function_invocations[request.function_index]++;
@@ -491,16 +404,23 @@ HostSchedulerStats HostScheduler::FinishOpenLoop() {
   return stats;
 }
 
-HostSchedulerStats HostScheduler::RunOpenLoop(const std::vector<Arrival>& arrivals) {
+HostSchedulerStats HostScheduler::Run(const std::vector<Arrival>& arrivals) {
   Simulation* sim = platform_->sim();
-  // Absolute arrival times; chaos burst windows compress the offered gaps.
-  const std::vector<TimedArrival> schedule =
-      BuildOpenLoopSchedule(arrivals, sim->now(), platform_->chaos());
   BeginOpenLoop();
-  for (const TimedArrival& timed : schedule) {
-    OfferAt(timed.function_index, timed.at);
+  if (config_.open_loop) {
+    // Absolute arrival times; chaos burst windows compress the offered gaps.
+    for (const TimedArrival& timed :
+         BuildOpenLoopSchedule(arrivals, sim->now(), platform_->chaos())) {
+      OfferAt(timed.function_index, timed.at);
+    }
+    sim->Run();
+  } else {
+    // Closed loop: each arrival is offered `gap` after the previous one drained.
+    for (const Arrival& arrival : arrivals) {
+      OfferAt(arrival.function_index, sim->now() + arrival.gap);
+      sim->Run();
+    }
   }
-  sim->Run();
   return FinishOpenLoop();
 }
 

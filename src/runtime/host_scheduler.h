@@ -10,19 +10,22 @@
 // few functions are hot, most are invoked rarely — modeled here with a Zipf
 // popularity distribution over Poisson arrivals.
 //
-// Two serving disciplines share the engine:
+// One engine serves every discipline: arrivals are offered at virtual times
+// (OfferAt), an admission controller dispatches them, and a pressure ladder
+// degrades readahead, restore mode, and keep-alive before any work is
+// dropped (src/runtime/admission.h). config.open_loop chooses only the
+// arrival process that feeds it:
 //
-//   Closed loop (default) — invocations are admitted serially in arrival order
-//   (one running VM at a time, the next gap measured from the previous
-//   completion); this isolates the policy effects from CPU contention, which
-//   Figure 10 covers. Bit-identical to the historical behavior per seed.
+//   Closed loop (default) — each arrival is offered `gap` after the previous
+//   one completed and the simulation drained, so one VM runs at a time; this
+//   isolates the policy effects from CPU contention, which Figure 10 covers.
+//   A miss also drops the page cache: other tenants recycled it while the
+//   function idled.
 //
 //   Open loop (config.open_loop) — arrivals land at absolute virtual times
 //   regardless of completions, up to admission.max_concurrency invocations run
-//   concurrently, and overload is handled by the admission layer: a bounded
-//   deadline queue with typed shedding (src/runtime/admission.h) plus a
-//   pressure ladder that degrades readahead, restore mode, and keep-alive
-//   before any work is dropped.
+//   concurrently, and overload ends in typed sheds from the bounded deadline
+//   queue. The page cache is shared with in-flight restores and never dropped.
 
 #ifndef FAASNAP_SRC_RUNTIME_HOST_SCHEDULER_H_
 #define FAASNAP_SRC_RUNTIME_HOST_SCHEDULER_H_
@@ -35,7 +38,6 @@
 #include "src/runtime/admission.h"
 #include "src/runtime/arrivals.h"
 #include "src/runtime/platform.h"
-#include "src/runtime/serve_common.h"
 
 namespace faasnap {
 
@@ -52,9 +54,8 @@ struct HostSchedulerConfig {
   int quarantine_failure_threshold = 3;
   Duration quarantine_backoff = Duration::Seconds(60);
 
-  // Open-loop serving: arrivals at absolute times, concurrent invocations,
-  // admission control, and the pressure-degradation ladder. Off by default —
-  // the closed loop above is preserved bit-identically.
+  // The arrival process: absolute arrival times with concurrent invocations
+  // (true), or each arrival a gap after the previous completion (false).
   bool open_loop = false;
   AdmissionConfig admission;
   PressureLadderConfig ladder;
@@ -71,15 +72,17 @@ struct HostSchedulerStats {
   int64_t quarantined_serves = 0; // misses served by cold boot while benched
   RunningStats latency_ms;
   RunningStats miss_latency_ms;
-  // Time-averaged bytes pinned by the warm pool across the run (open loop also
-  // counts the predicted bytes of in-flight restores).
+  // Time-averaged bytes pinned by the warm pool plus the predicted bytes of
+  // in-flight invocations across the run. An idle VM is charged up to its
+  // keep-alive expiry, not until the arrival that reclaims it.
   double avg_pool_bytes = 0;
   Duration span;
   // Per registered function: hit counts (hot functions should dominate).
   std::vector<int64_t> per_function_hits;
   std::vector<int64_t> per_function_invocations;
 
-  // Open-loop fields; all zero in closed-loop runs.
+  // Admission and pressure bookkeeping. A closed loop offers one arrival at a
+  // time: max_in_flight is 1 and nothing queues or sheds.
   int64_t arrivals = 0;            // offered arrivals (== invocations + sheds)
   int64_t shed_queue_full = 0;
   int64_t shed_deadline = 0;
@@ -122,17 +125,18 @@ class HostScheduler {
   // been recorded on this scheduler's platform.
   size_t AddRecordedFunction(const FunctionSnapshot* snapshot, const TraceGenerator* generator);
 
-  // Serves `arrivals` and returns the aggregate statistics: serially in the
-  // closed loop, or at absolute virtual times under admission control when
-  // config.open_loop is set.
+  // Serves `arrivals` and returns the aggregate statistics. Closed loop: the
+  // next arrival is offered `gap` after the simulation drained the previous
+  // one. Open loop: every arrival at its absolute time, chaos burst windows
+  // compressing the gaps.
   HostSchedulerStats Run(const std::vector<Arrival>& arrivals);
 
-  // --- Incremental open-loop driving (the cluster layer's shards). ---
+  // --- Incremental driving (the cluster layer's shards). ---
   //
-  // RunOpenLoop with config.open_loop is exactly BeginOpenLoop() + OfferAt()
-  // per timed arrival + sim()->Run() + FinishOpenLoop(). A cluster shard
-  // instead interleaves OfferAt batches (arrivals routed at barrier epochs)
-  // with bounded sim->RunUntil(epoch_end) advances. Offer times must be
+  // Run is BeginOpenLoop() + OfferAt() per arrival + sim()->Run() +
+  // FinishOpenLoop(), draining after each offer in the closed loop. A cluster
+  // shard instead interleaves OfferAt batches (arrivals routed at barrier
+  // epochs) with bounded sim->RunUntil(epoch_end) advances. Offer times must be
   // non-decreasing and >= the platform clock; content seeds are drawn when
   // the arrival event fires, which is offer order, so the input stream is
   // identical whether the schedule was offered up front or epoch by epoch.
@@ -170,30 +174,29 @@ class HostScheduler {
     bool warm = false;
     SimTime last_used;
     std::list<Entry*>::iterator lru_it;
-    // In-flight invocations of this function (open loop only).
+    // In-flight invocations of this function.
     int running = 0;
     // At least one invocation of this function completed on this host.
     bool served_once = false;
-    // Snapshot quarantine state (shared serve bookkeeping).
-    ServeHealth health;
+    // Snapshot quarantine: consecutive failed restores, and until when misses
+    // bypass the snapshot (cold boot) instead of retrying it.
+    int consecutive_failures = 0;
+    SimTime quarantined_until;
   };
 
-  // Live state of one open-loop run, heap-held between BeginOpenLoop and
-  // FinishOpenLoop so the admission hooks and completion callbacks can refer
-  // to it stably across epochs.
+  // Live state of one run, heap-held between BeginOpenLoop and FinishOpenLoop
+  // so the admission hooks and completion callbacks can refer to it stably
+  // across epochs.
   struct OpenLoopState;
 
-  HostSchedulerStats RunClosedLoop(const std::vector<Arrival>& arrivals);
-  HostSchedulerStats RunOpenLoop(const std::vector<Arrival>& arrivals);
-
-  // Open-loop engine internals; see host_scheduler.cc.
+  // Engine internals; see host_scheduler.cc.
   void OpenLoopArrival(size_t function_index);
   void OpenLoopAccrue(SimTime now);
   void OpenLoopUpdateLadder();
   void OpenLoopShed(const AdmissionRequest& request, InvocationOutcome outcome, Duration wait);
   void OpenLoopRun(const AdmissionRequest& request, Duration wait);
-  void OpenLoopComplete(const AdmissionRequest& request, const ServeParams& params,
-                        const PlannedServe& planned, bool warm, const InvocationReport& report);
+  void OpenLoopComplete(const AdmissionRequest& request, RestoreMode mode, bool warm, SpanId span,
+                        const InvocationReport& report);
 
   // Warm-pool bookkeeping: the pool byte total and the LRU list (front =
   // least recently used) are maintained incrementally — marking a VM warm,
@@ -201,9 +204,8 @@ class HostScheduler {
   // full rescan of every entry per eviction step.
   void MarkWarm(Entry* entry, SimTime now);
   void MarkCold(Entry* entry);
-  // Reclaims VMs idle past `keep_warm` and, if needed, LRU-evicts until
-  // `needed` bytes fit in the budget.
-  void ReclaimAndEvict(ByteCount needed, Duration keep_warm, HostSchedulerStats* stats);
+  // LRU-evicts idle VMs until `needed` more bytes fit in the budget.
+  void EvictToFit(ByteCount needed, HostSchedulerStats* stats);
   // Best-effort: evicts idle LRU VMs until at least `bytes` are unpinned (the
   // admission controller's make_room hook).
   void EvictIdleBytes(ByteCount bytes, HostSchedulerStats* stats);

@@ -1,8 +1,8 @@
 // Arrival-process sampling: the workload side of serving simulations.
 //
-// Every serving engine (KeepAliveSimulator, HostScheduler, the cluster
+// Every serving driver (HostScheduler's closed and open loops, the cluster
 // dispatcher) consumes the same seeded arrival streams, so the samplers live
-// with the workload definitions rather than with any one engine. Three
+// with the workload definitions rather than with any one driver. Three
 // processes cover the regimes the fleet-level literature sweeps ("How Low Can
 // You Go?" frames cold-start rate vs. keep-alive memory under exactly these
 // mixes):

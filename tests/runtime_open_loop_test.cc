@@ -1,6 +1,7 @@
 // Open-loop serving through the shared engine: concurrent in-flight
 // invocations, typed shedding under overload, pressure-driven degradation,
-// and determinism of the whole pipeline per seed.
+// and determinism of the whole pipeline per seed. The closed loop runs on the
+// same engine, one arrival at a time.
 
 #include <gtest/gtest.h>
 
@@ -8,7 +9,6 @@
 
 #include "src/obs/observability.h"
 #include "src/runtime/host_scheduler.h"
-#include "src/runtime/keepalive.h"
 #include "src/storage/device_profiles.h"
 
 namespace faasnap {
@@ -156,42 +156,34 @@ TEST(OpenLoopScheduler, MemoryPressureDemotesMissRestores) {
   EXPECT_EQ(stats.final_pressure_level, 0);
 }
 
-TEST(OpenLoopKeepAlive, DelegatesToTheSharedEngine) {
-  PlatformConfig platform_config = TestConfig();
-  Platform platform(platform_config);
-  FunctionSpec spec = *FindFunction("json");
-  TraceGenerator generator(spec, platform_config.layout);
-  FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(spec));
-  KeepAliveSimulator simulator(&platform, &snapshot, &generator);
-  KeepAliveConfig config;
-  config.open_loop = true;
-  config.admission.max_concurrency = 4;
-  config.admission.queue_capacity = 64;
-  config.admission.queue_deadline = Duration::Seconds(10);
-  std::vector<Duration> gaps(12, Duration::Millis(1));
-  KeepAliveStats stats = simulator.Run(gaps, config);
-  EXPECT_EQ(stats.arrivals, 12);
-  EXPECT_EQ(stats.invocations + stats.shed(), stats.arrivals);
-  EXPECT_GT(stats.max_in_flight, 1);
-  EXPECT_EQ(stats.shed(), 0);
-  EXPECT_GT(stats.misses, 0);
-  EXPECT_GT(stats.miss_latency_ms.count(), 0);
-}
+TEST(ClosedLoopScheduler, ServesOneArrivalAtATimeAndDropsCachesOnMisses) {
+  Platform platform(TestConfig());
+  HostSchedulerConfig config;  // open_loop = false
+  config.keep_warm = Duration::Seconds(30);
+  HostScheduler scheduler(&platform, config);
+  scheduler.AddFunction(*FindFunction("json"));
 
-TEST(OpenLoopKeepAlive, ClosedLoopIgnoresOpenLoopFields) {
-  PlatformConfig platform_config = TestConfig();
-  Platform platform(platform_config);
-  FunctionSpec spec = *FindFunction("json");
-  TraceGenerator generator(spec, platform_config.layout);
-  FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(spec));
-  KeepAliveSimulator simulator(&platform, &snapshot, &generator);
-  KeepAliveConfig config;  // open_loop = false
-  std::vector<Duration> gaps(5, Duration::Seconds(1));
-  KeepAliveStats stats = simulator.Run(gaps, config);
-  EXPECT_EQ(stats.invocations, 5);
-  EXPECT_EQ(stats.arrivals, 0);  // open-loop counters stay zero
+  // A miss, then a warm hit: the closed loop offers one arrival at a time.
+  const uint64_t recorded_bytes = platform.disk()->stats().bytes_read;
+  HostSchedulerStats stats =
+      scheduler.Run({{0, Duration::Seconds(1)}, {0, Duration::Seconds(1)}});
+  const uint64_t first_run_bytes = platform.disk()->stats().bytes_read - recorded_bytes;
+  EXPECT_EQ(stats.invocations, 2);
+  EXPECT_EQ(stats.warm_hits, 1);
+  EXPECT_EQ(stats.arrivals, stats.invocations);
+  EXPECT_EQ(stats.max_in_flight, 1);
   EXPECT_EQ(stats.shed(), 0);
-  EXPECT_EQ(stats.max_in_flight, 0);
+  EXPECT_EQ(stats.max_pressure_level, 0);
+  ASSERT_GT(first_run_bytes, 0u);
+
+  // Past the horizon the VM expired. Each run draws the same first content
+  // seed, so the miss replays the first one: with the page cache dropped it
+  // reads the same bytes from disk again instead of hitting cached pages.
+  stats = scheduler.Run({{0, Duration::Seconds(120)}});
+  EXPECT_EQ(stats.expirations, 1);
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(platform.disk()->stats().bytes_read - recorded_bytes - first_run_bytes,
+            first_run_bytes);
 }
 
 }  // namespace
