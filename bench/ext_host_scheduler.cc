@@ -30,7 +30,7 @@ void Run(int arrivals) {
   };
   const Budget budgets[] = {
       {"2 GiB (ample)", GiB(2)},
-      {"512 MiB", MiB(512)},
+      {"256 MiB", MiB(256)},
       {"128 MiB (tight)", MiB(128)},
   };
   const RestoreMode miss_modes[] = {RestoreMode::kColdBoot, RestoreMode::kFirecracker,

@@ -21,19 +21,11 @@ Status ParseRouter(const JsonValue& node, RouterConfig* out) {
   return OkStatus();
 }
 
-void ParseHost(const JsonValue& node, HostSchedulerConfig* out) {
+Status ParseHost(const JsonValue& node, HostSchedulerConfig* out) {
   out->warm_pool_budget_bytes =
       node.GetByteCountMiBOr("warm_pool_budget_mib", out->warm_pool_budget_bytes);
   out->keep_warm = node.GetDurationUsOr("keep_warm_us", out->keep_warm);
-  out->admission.max_concurrency =
-      static_cast<int>(node.GetIntOr("max_concurrency", out->admission.max_concurrency));
-  out->admission.queue_capacity =
-      static_cast<int>(node.GetIntOr("queue_capacity", out->admission.queue_capacity));
-  out->admission.queue_deadline =
-      node.GetDurationUsOr("queue_deadline_us", out->admission.queue_deadline);
-  out->admission.memory_budget_bytes =
-      node.GetByteCountMiBOr("memory_budget_mib", out->admission.memory_budget_bytes);
-  out->admission.fairness_share = node.GetNumberOr("fairness_share", out->admission.fairness_share);
+  return ParseAdmissionConfig(node, &out->admission);
 }
 
 Status ParseWorkload(const JsonValue& node, ClusterExperiment* out) {
@@ -52,8 +44,11 @@ Status ParseWorkload(const JsonValue& node, ClusterExperiment* out) {
     }
     out->functions.push_back(*spec);
   }
-  out->arrival_count = static_cast<size_t>(
-      node.GetIntOr("count", static_cast<int64_t>(out->arrival_count)));
+  const int64_t count = node.GetIntOr("count", static_cast<int64_t>(out->arrival_count));
+  if (count < 1) {
+    return InvalidArgumentError("workload.count must be >= 1");
+  }
+  out->arrival_count = static_cast<size_t>(count);
   out->workload_seed =
       static_cast<uint64_t>(node.GetIntOr("seed", static_cast<int64_t>(out->workload_seed)));
   Result<ArrivalProcess> process =
@@ -104,7 +99,7 @@ Result<ClusterExperiment> ParseClusterExperiment(const JsonValue& root) {
     if (!host.ok()) {
       return host.status();
     }
-    ParseHost(*host, &experiment.cluster.host);
+    RETURN_IF_ERROR(ParseHost(*host, &experiment.cluster.host));
   }
   Result<JsonValue> workload = root.Get("workload");
   if (!workload.ok()) {

@@ -10,18 +10,6 @@ namespace faasnap {
 
 namespace {
 
-Result<RestoreMode> ModeFromName(const std::string& name) {
-  for (RestoreMode mode :
-       {RestoreMode::kWarm, RestoreMode::kColdBoot, RestoreMode::kFirecracker,
-        RestoreMode::kCached, RestoreMode::kReap, RestoreMode::kFaasnapConcurrentOnly,
-        RestoreMode::kFaasnapPerRegion, RestoreMode::kFaasnap}) {
-    if (name == RestoreModeName(mode)) {
-      return mode;
-    }
-  }
-  return InvalidArgumentError("unknown system: " + name);
-}
-
 Result<TestInputSpec> InputFromString(const std::string& text) {
   TestInputSpec spec;
   spec.label = text;
@@ -74,7 +62,7 @@ Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
     }
     for (const JsonValue& s : systems.array()) {
       ASSIGN_OR_RETURN(std::string name, s.AsString());
-      ASSIGN_OR_RETURN(RestoreMode mode, ModeFromName(name));
+      ASSIGN_OR_RETURN(RestoreMode mode, ParseRestoreMode(name));
       config.systems.push_back(mode);
     }
   }
@@ -193,8 +181,7 @@ Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
   }
   config.platform.readahead.max_streams = static_cast<uint64_t>(max_streams);
 
-  // Fault-path lever knobs (FaultPathConfig); every lever defaults to off so an
-  // absent block reproduces the pre-lever fault path exactly.
+  // Fault-path lever knobs (FaultPathConfig); every lever defaults to off.
   if (root.Has("fault_path")) {
     ASSIGN_OR_RETURN(JsonValue fault_path, root.Get("fault_path"));
     if (!fault_path.is_object()) {
@@ -227,23 +214,16 @@ Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
     if (!admission.is_object()) {
       return InvalidArgumentError("\"admission\" must be an object");
     }
-    config.admission_enabled = admission.GetBoolOr("enabled", true);
-    AdmissionConfig& a = config.admission;
-    a.max_concurrency = static_cast<int>(
-        admission.GetIntOr("max_concurrency", a.max_concurrency));
-    a.queue_capacity =
-        static_cast<int>(admission.GetIntOr("queue_capacity", a.queue_capacity));
-    a.queue_deadline = Duration::Micros(
-        admission.GetIntOr("queue_deadline_us", a.queue_deadline.micros()));
-    a.memory_budget_bytes = admission.GetByteCountMiBOr("memory_budget_mib", a.memory_budget_bytes);
-    a.fairness_share = admission.GetNumberOr("fairness_share", a.fairness_share);
-    if (a.max_concurrency < 1 || a.queue_capacity < 0) {
+    if (admission.Has("enabled")) {
       return InvalidArgumentError(
-          "admission.max_concurrency must be >= 1 and queue_capacity >= 0");
+          "admission.enabled is not supported: omit the block to admit the whole burst");
     }
-    if (a.fairness_share < 0.0 || a.fairness_share > 1.0) {
-      return InvalidArgumentError("admission.fairness_share must be in [0, 1]");
-    }
+    RETURN_IF_ERROR(ParseAdmissionConfig(admission, &config.admission));
+  } else {
+    // No limits: the whole burst is admitted at once.
+    config.admission.max_concurrency = config.parallelism;
+    config.admission.queue_capacity = 0;
+    config.admission.queue_deadline = Duration::Zero();
   }
 
   if (root.Has("chaos")) {

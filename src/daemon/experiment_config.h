@@ -10,7 +10,7 @@
 //   "record_input": "A",                        // "A" | "B"
 //   "test_inputs": ["B"],                       // "A" | "B" | a ratio like "2x"
 //   "reps": 3,
-//   "parallelism": 1,                           // >1 = bursty (Figure 10 style)
+//   "parallelism": 1,                           // burst width (Figure 10 style)
 //   "device": "nvme",                           // "nvme" | "ebs"
 //   "host_cores": 96,
 //   "ws_group_size": 1024,
@@ -36,8 +36,8 @@
 //     "max_non_ok": 1024,                       // ... and of non-ok, up to this cap
 //     "buffer_capacity": 65536                  // recycling span-buffer records
 //   },
-//   "admission": {                              // burst-path admission control
-//     "enabled": true,                          // default true when block present
+//   "admission": {                              // burst admission limits; absent =
+//                                               //   admit the whole burst at once
 //     "max_concurrency": 8,                     // in-flight invocation cap
 //     "queue_capacity": 64,                     // waiters beyond this shed
 //     "queue_deadline_us": 500000,              // waiters older than this shed
@@ -100,12 +100,11 @@ struct ExperimentConfig {
   int parallelism = 1;
   uint64_t base_seed = 1;
 
-  // Burst-path admission control ("admission" block): with parallelism > 1,
-  // the N simultaneous requests pass through an AdmissionController instead of
-  // all dispatching at once — overflow and deadline-expired waiters are shed
-  // with typed outcomes (the cell's shed column). Off by default: the legacy
-  // unbounded burst is unchanged.
-  bool admission_enabled = false;
+  // Each cell's `parallelism` simultaneous requests are offered to an
+  // AdmissionController with these limits; overflow and deadline-expired
+  // waiters are shed with typed outcomes (the cell's shed column). Without an
+  // "admission" block the parser sets max_concurrency = parallelism with no
+  // queue, deadline or memory budget, so the whole burst runs at once.
   AdmissionConfig admission;
 
   // Observability outputs; empty = disabled. trace_out receives a Perfetto-

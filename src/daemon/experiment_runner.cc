@@ -121,87 +121,53 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
               obs != nullptr ? obs->spans.Begin(platform.sim()->now(), ObsLane::kDaemon,
                                                 obsname::kExperimentCell, s)
                              : kNoSpan;
-          if (config.parallelism == 1) {
-            InvocationReport report =
-                platform.Invoke(snapshot, config.systems[s], generator, test_input);
-            row[s].total_ms.Record(report.total_time().millis());
-            row[s].setup_ms.Record(report.setup_time.millis());
-            row[s].invocation_ms.Record(report.invocation_time.millis());
+          // The burst: `parallelism` simultaneous requests offered to the
+          // admission controller; overflow and expired waiters resolve as
+          // typed shed outcomes instead of piling onto the daemon.
+          int resolved = 0;
+          const ByteCount predicted_bytes =
+              PagesToBytes(PageCount::FromPages(snapshot.record_touched.page_count()));
+          std::unique_ptr<AdmissionController> admission;
+          AdmissionController::Hooks hooks;
+          hooks.run = [&, s](const AdmissionRequest& request, Duration wait) {
+            (void)wait;  // queue time is visible in the report's setup span
+            WorkloadInput per = test_input;
+            if (!spec.fixed_input) {
+              per.content_seed += request.id * 977;
+            }
+            platform.InvokeAsync(snapshot, config.systems[s], generator.Generate(per),
+                                 [&, s, request](InvocationReport report) {
+                                   row[s].total_ms.Record(report.total_time().millis());
+                                   row[s].setup_ms.Record(report.setup_time.millis());
+                                   row[s].invocation_ms.Record(report.invocation_time.millis());
+                                   TallyOutcome(&row[s], report);
+                                   row[s].sample = std::move(report);
+                                   ++resolved;
+                                   admission->OnComplete(request);
+                                 });
+          };
+          hooks.shed = [&, s](const AdmissionRequest& request, InvocationOutcome outcome,
+                              Duration wait) {
+            (void)wait;  // ReportShed derives the wait from request.arrival
+            Status reason = outcome == InvocationOutcome::kShedQueueFull
+                                ? ResourceExhaustedError("admission queue full")
+                                : DeadlineExceededError("queueing deadline exceeded");
+            const InvocationReport report = platform.ReportShed(
+                snapshot, config.systems[s], request.arrival, outcome, std::move(reason));
             TallyOutcome(&row[s], report);
-            row[s].sample = std::move(report);
-          } else if (!config.admission_enabled) {
-            // Burst: N simultaneous requests; the cell aggregates per-invocation
-            // times across the burst.
-            int completed = 0;
-            for (int i = 0; i < config.parallelism; ++i) {
-              WorkloadInput per = test_input;
-              if (!spec.fixed_input) {
-                per.content_seed += static_cast<uint64_t>(i) * 977;
-              }
-              platform.InvokeAsync(snapshot, config.systems[s], generator.Generate(per),
-                                   [&, s](InvocationReport report) {
-                                     row[s].total_ms.Record(report.total_time().millis());
-                                     row[s].setup_ms.Record(report.setup_time.millis());
-                                     row[s].invocation_ms.Record(
-                                         report.invocation_time.millis());
-                                     TallyOutcome(&row[s], report);
-                                     row[s].sample = std::move(report);
-                                     ++completed;
-                                   });
-            }
-            platform.sim()->Run();
-            FAASNAP_CHECK(completed == config.parallelism);
-          } else {
-            // Admission-controlled burst: the N simultaneous requests enter a
-            // bounded deadline queue; overflow and expired waiters resolve as
-            // typed shed outcomes instead of piling onto the daemon.
-            int resolved = 0;
-            const ByteCount predicted_bytes =
-                PagesToBytes(PageCount::FromPages(snapshot.record_touched.page_count()));
-            std::unique_ptr<AdmissionController> admission;
-            AdmissionController::Hooks hooks;
-            hooks.run = [&, s](const AdmissionRequest& request, Duration wait) {
-              (void)wait;  // queue time is visible in the report's setup span
-              WorkloadInput per = test_input;
-              if (!spec.fixed_input) {
-                per.content_seed += request.id * 977;
-              }
-              platform.InvokeAsync(snapshot, config.systems[s], generator.Generate(per),
-                                   [&, s, request](InvocationReport report) {
-                                     row[s].total_ms.Record(report.total_time().millis());
-                                     row[s].setup_ms.Record(report.setup_time.millis());
-                                     row[s].invocation_ms.Record(
-                                         report.invocation_time.millis());
-                                     TallyOutcome(&row[s], report);
-                                     row[s].sample = std::move(report);
-                                     ++resolved;
-                                     admission->OnComplete(request);
-                                   });
-            };
-            hooks.shed = [&, s](const AdmissionRequest& request, InvocationOutcome outcome,
-                                Duration wait) {
-              (void)wait;  // ReportShed derives the wait from request.arrival
-              Status reason = outcome == InvocationOutcome::kShedQueueFull
-                                  ? ResourceExhaustedError("admission queue full")
-                                  : DeadlineExceededError("queueing deadline exceeded");
-              const InvocationReport report =
-                  platform.ReportShed(snapshot, config.systems[s], request.arrival, outcome,
-                                      std::move(reason));
-              TallyOutcome(&row[s], report);
-              ++resolved;
-            };
-            admission = std::make_unique<AdmissionController>(
-                platform.sim(), config.admission, std::move(hooks));
-            for (int i = 0; i < config.parallelism; ++i) {
-              AdmissionRequest request;
-              request.id = static_cast<uint64_t>(i);
-              request.predicted_bytes = predicted_bytes;
-              request.arrival = platform.sim()->now();
-              admission->Offer(request);
-            }
-            platform.sim()->Run();
-            FAASNAP_CHECK(resolved == config.parallelism);
+            ++resolved;
+          };
+          admission = std::make_unique<AdmissionController>(platform.sim(), config.admission,
+                                                            std::move(hooks));
+          for (int i = 0; i < config.parallelism; ++i) {
+            AdmissionRequest request;
+            request.id = static_cast<uint64_t>(i);
+            request.predicted_bytes = predicted_bytes;
+            request.arrival = platform.sim()->now();
+            admission->Offer(request);
           }
+          platform.sim()->Run();
+          FAASNAP_CHECK(resolved == config.parallelism);
           if (obs != nullptr) {
             obs->spans.End(cell_span, platform.sim()->now());
           }
@@ -250,29 +216,15 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
 }
 
 std::string ExperimentResults::ToTable() const {
-  // The outcomes column appears only when some cell degraded or failed, so
-  // fault-free output is unchanged.
-  bool any_non_ok = false;
+  TextTable table({"function", "test input", "system", "total (ms)", "setup (ms)",
+                   "invoke (ms)", "ok/deg/fail/shed"});
   for (const ExperimentCell& cell : cells) {
-    any_non_ok = any_non_ok || !cell.all_ok();
-  }
-  std::vector<std::string> header = {"function", "test input", "system",
-                                     "total (ms)", "setup (ms)", "invoke (ms)"};
-  if (any_non_ok) {
-    header.push_back("ok/deg/fail/shed");
-  }
-  TextTable table(header);
-  for (const ExperimentCell& cell : cells) {
-    std::vector<std::string> row = {
-        cell.function, cell.test_input, cell.system,
-        FormatCell("%.1f +- %.1f", cell.total_ms.mean(), cell.total_ms.stddev()),
-        FormatCell("%.1f", cell.setup_ms.mean()),
-        FormatCell("%.1f", cell.invocation_ms.mean())};
-    if (any_non_ok) {
-      row.push_back(std::to_string(cell.ok) + "/" + std::to_string(cell.degraded) + "/" +
-                    std::to_string(cell.failed) + "/" + std::to_string(cell.shed));
-    }
-    table.AddRow(row);
+    table.AddRow({cell.function, cell.test_input, cell.system,
+                  FormatCell("%.1f +- %.1f", cell.total_ms.mean(), cell.total_ms.stddev()),
+                  FormatCell("%.1f", cell.setup_ms.mean()),
+                  FormatCell("%.1f", cell.invocation_ms.mean()),
+                  std::to_string(cell.ok) + "/" + std::to_string(cell.degraded) + "/" +
+                      std::to_string(cell.failed) + "/" + std::to_string(cell.shed)});
   }
   return "# " + name + "\n\n" + table.ToString();
 }
@@ -288,14 +240,12 @@ std::string ExperimentResults::ToJson() const {
         .Field("total_ms_mean", cell.total_ms.mean())
         .Field("total_ms_std", cell.total_ms.stddev())
         .Field("setup_ms_mean", cell.setup_ms.mean())
-        .Field("invocation_ms_mean", cell.invocation_ms.mean());
-    if (!cell.all_ok()) {
-      json.Field("ok", cell.ok)
-          .Field("degraded", cell.degraded)
-          .Field("failed", cell.failed)
-          .Field("shed", cell.shed);
-    }
-    json.Field("reps", cell.total_ms.count())
+        .Field("invocation_ms_mean", cell.invocation_ms.mean())
+        .Field("ok", cell.ok)
+        .Field("degraded", cell.degraded)
+        .Field("failed", cell.failed)
+        .Field("shed", cell.shed)
+        .Field("reps", cell.total_ms.count())
         .EndObject();
   }
   json.EndArray().EndObject();

@@ -2,8 +2,9 @@
 // the counterpart of the paper artifact's `test.py` driver (Appendix A.4).
 //
 // For every (function, test input): one platform per repetition, one record
-// phase, then one test-phase invocation per system with caches dropped between
-// tests (or `parallelism` simultaneous invocations for burst configs).
+// phase, then per system a burst of `parallelism` simultaneous test-phase
+// invocations (one by default) offered to an AdmissionController, with caches
+// dropped between systems.
 
 #ifndef FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
 #define FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
@@ -28,13 +29,11 @@ struct ExperimentCell {
   int64_t ok = 0;
   int64_t degraded = 0;
   int64_t failed = 0;
-  // Arrivals the admission layer rejected or deadline-dropped (burst path with
-  // an "admission" block; both shed outcomes fold into one tally here).
+  // Arrivals the admission layer rejected or deadline-dropped (both shed
+  // outcomes fold into one tally here).
   int64_t shed = 0;
   // Representative last-rep detail for JSON export.
   InvocationReport sample;
-
-  bool all_ok() const { return degraded == 0 && failed == 0 && shed == 0; }
 };
 
 struct ExperimentResults {

@@ -62,11 +62,6 @@ void FaultEngine::set_observability(SpanTracer* spans, MetricsRegistry* metrics)
       continue;
     }
     const FaultClass cls = static_cast<FaultClass>(i);
-    // The huge-install class only exists when the huge lever is on; registering
-    // it unconditionally would perturb disabled runs' metric snapshots.
-    if (cls == FaultClass::kHugeInstall && !fault_path_.huge_pages) {
-      continue;
-    }
     const MetricLabels labels = {{"class", std::string(FaultClassName(cls))}};
     class_counters_[i] = metrics->GetCounter("faults.by_class", labels);
     // No handling-time histogram for no-faults: they retire synchronously with
@@ -75,29 +70,26 @@ void FaultEngine::set_observability(SpanTracer* spans, MetricsRegistry* metrics)
       class_histograms_[i] = metrics->GetHistogram("fault.handling_ns", labels);
     }
   }
-  batch_installs_ctr_ = nullptr;
-  batch_pages_ctr_ = nullptr;
-  batch_size_hist_ = nullptr;
-  huge_installs_ctr_ = nullptr;
-  huge_pages_ctr_ = nullptr;
-  huge_splits_ctr_ = nullptr;
-  coalesced_ctr_ = nullptr;
-  if (metrics != nullptr && fault_path_.batched_uffd_install) {
-    batch_installs_ctr_ = metrics->GetCounter("faults.batch_installs");
-    batch_pages_ctr_ = metrics->GetCounter("faults.batch_pages");
-    // The batch-size series abuses the log2 histogram as a page-count digest:
-    // the "duration" recorded is the page count, so the lower edge is 1 page.
-    batch_size_hist_ =
-        metrics->GetHistogram("faults.batch_size", {}, Duration::Nanos(1), /*num_buckets=*/11);
+  if (metrics == nullptr) {
+    batch_installs_ctr_ = nullptr;
+    batch_pages_ctr_ = nullptr;
+    batch_size_hist_ = nullptr;
+    huge_installs_ctr_ = nullptr;
+    huge_pages_ctr_ = nullptr;
+    huge_splits_ctr_ = nullptr;
+    coalesced_ctr_ = nullptr;
+    return;
   }
-  if (metrics != nullptr && fault_path_.huge_pages) {
-    huge_installs_ctr_ = metrics->GetCounter("faults.huge_installs");
-    huge_pages_ctr_ = metrics->GetCounter("faults.huge_pages");
-    huge_splits_ctr_ = metrics->GetCounter("faults.huge_splits");
-  }
-  if (metrics != nullptr && fault_path_.fault_coalescing) {
-    coalesced_ctr_ = metrics->GetCounter("faults.coalesced");
-  }
+  batch_installs_ctr_ = metrics->GetCounter("faults.batch_installs");
+  batch_pages_ctr_ = metrics->GetCounter("faults.batch_pages");
+  // The batch-size series abuses the log2 histogram as a page-count digest:
+  // the "duration" recorded is the page count, so the lower edge is 1 page.
+  batch_size_hist_ =
+      metrics->GetHistogram("faults.batch_size", {}, Duration::Nanos(1), /*num_buckets=*/11);
+  huge_installs_ctr_ = metrics->GetCounter("faults.huge_installs");
+  huge_pages_ctr_ = metrics->GetCounter("faults.huge_pages");
+  huge_splits_ctr_ = metrics->GetCounter("faults.huge_splits");
+  coalesced_ctr_ = metrics->GetCounter("faults.coalesced");
 }
 
 void FaultEngine::NoteBatchInstall(uint64_t pages) {

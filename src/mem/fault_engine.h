@@ -109,9 +109,7 @@ class FaultEngine {
   }
 
   // Enables fault-path levers (batched uffd installs, huge regions, fault
-  // coalescing). Must be set before set_observability so the lever counters are
-  // registered iff their lever is on — disabled runs keep a bit-identical
-  // metrics snapshot. All levers default to off.
+  // coalescing). All levers default to off.
   void set_fault_path(const FaultPathConfig& fault_path) { fault_path_ = fault_path; }
   const FaultPathConfig& fault_path() const { return fault_path_; }
 
@@ -130,7 +128,9 @@ class FaultEngine {
   // Attaches span tracing and metrics. Every fault becomes a span on the vCPU
   // lane (child of the current invocation span); uffd round trips and issued
   // disk reads nest under it. Metrics: per-class fault counters and handling
-  // histograms. Null pointers detach; detached cost is one branch per fault.
+  // histograms plus the lever series (faults.batch_*, faults.huge_*,
+  // faults.coalesced). Null pointers detach; detached cost is one branch per
+  // fault.
   void set_observability(SpanTracer* spans, MetricsRegistry* metrics);
 
   // Span all subsequent fault spans parent to (the running invocation's span).
@@ -187,12 +187,11 @@ class FaultEngine {
   uint32_t uffd_resolve_name_ = 0;  // pre-interned obsname::kUffdResolve
   SpanId invocation_span_ = kNoSpan;
   // Per-class counters and handling-time histograms; null when detached. The
-  // no-fault slot never gets a histogram (no-faults have no handling latency)
-  // and the huge-install slot only registers when the huge lever is on.
+  // no-fault slot never gets a histogram (no-faults have no handling latency).
   Counter* class_counters_[static_cast<int>(FaultClass::kClassCount)] = {};
   Log2Histogram* class_histograms_[static_cast<int>(FaultClass::kClassCount)] = {};
-  // Lever counters; registered in set_observability iff the lever is enabled,
-  // so disabled runs keep a bit-identical metrics snapshot.
+  // Lever counters; registered with the class series and held at 0 while
+  // their lever is off.
   Counter* batch_installs_ctr_ = nullptr;
   Counter* batch_pages_ctr_ = nullptr;
   Log2Histogram* batch_size_hist_ = nullptr;  // pages per batch, not nanoseconds

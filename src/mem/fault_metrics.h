@@ -45,10 +45,9 @@ struct FaultMetrics {
   // Figure 9's "# of block requests".
   uint64_t fault_disk_requests = 0;
   ByteCount fault_disk_bytes;
-  // Fault-path lever attribution (all zero with the levers disabled, keeping
-  // reports bit-identical). Batched uffd installs: run-granular UFFDIO_COPYs
-  // and the pages they covered (setup-time working-set installs plus batched
-  // fault resolutions).
+  // Fault-path lever attribution (all zero with the levers disabled). Batched
+  // uffd installs: run-granular UFFDIO_COPYs and the pages they covered
+  // (setup-time working-set installs plus batched fault resolutions).
   uint64_t batch_installs = 0;
   PageCount batch_installed_pages;
   // Huge-page lever: whole-region installs, pages they covered, and regions

@@ -94,10 +94,7 @@ void PageCache::FailRead(ReadHandle handle, const Status& status) {
   {
     MutexLock lock(mu_);
     InFlightRead read = TakeRead(handle);
-    if (metrics_ != nullptr) {
-      if (failed_reads_ == nullptr) {
-        failed_reads_ = metrics_->GetCounter("page_cache.failed_reads");
-      }
+    if (failed_reads_ != nullptr) {
       failed_reads_->Add(1);
     }
     waiters = std::move(read.waiters);
@@ -276,13 +273,12 @@ void PageCache::NotePresentDelta(int64_t delta) {
 
 void PageCache::set_observability(MetricsRegistry* metrics) {
   MutexLock lock(mu_);
-  metrics_ = metrics;
-  failed_reads_ = nullptr;  // re-resolved lazily on the first failure
   if (metrics == nullptr) {
     reads_begun_ = nullptr;
     read_pages_ = nullptr;
     inserted_pages_ = nullptr;
     waiters_ = nullptr;
+    failed_reads_ = nullptr;
     present_pages_gauge_ = nullptr;
     return;
   }
@@ -290,6 +286,7 @@ void PageCache::set_observability(MetricsRegistry* metrics) {
   read_pages_ = metrics->GetCounter("page_cache.read_pages");
   inserted_pages_ = metrics->GetCounter("page_cache.inserted_pages");
   waiters_ = metrics->GetCounter("page_cache.waiters");
+  failed_reads_ = metrics->GetCounter("page_cache.failed_reads");
   present_pages_gauge_ = metrics->GetGauge("page_cache.present_pages");
   present_pages_gauge_->Set(static_cast<double>(present_total_));
 }

@@ -109,7 +109,7 @@ class PageCache {
   uint64_t present_page_count() const FAASNAP_EXCLUDES(mu_);
 
   // Attaches metrics: pages read into / inserted into the cache, reads begun,
-  // waiters registered, and a footprint gauge. Null detaches; detached cost is
+  // waiters registered, failed reads, and a footprint gauge. Null detaches; detached cost is
   // one branch per operation.
   void set_observability(MetricsRegistry* metrics) FAASNAP_EXCLUDES(mu_);
 
@@ -155,10 +155,7 @@ class PageCache {
   Counter* read_pages_ FAASNAP_GUARDED_BY(mu_) = nullptr;
   Counter* inserted_pages_ FAASNAP_GUARDED_BY(mu_) = nullptr;
   Counter* waiters_ FAASNAP_GUARDED_BY(mu_) = nullptr;
-  // Registered lazily on the first failure (reads only fail under fault
-  // injection), so fault-free runs keep a bit-identical metrics snapshot.
-  Counter* failed_reads_ FAASNAP_GUARDED_BY(mu_) = nullptr;
-  MetricsRegistry* metrics_ FAASNAP_GUARDED_BY(mu_) = nullptr;
+  Counter* failed_reads_ FAASNAP_GUARDED_BY(mu_) = nullptr;  // reads only fail under chaos
   Gauge* present_pages_gauge_ FAASNAP_GUARDED_BY(mu_) = nullptr;
   uint64_t present_total_ FAASNAP_GUARDED_BY(mu_) = 0;  // running count backing the gauge
 };

@@ -8,22 +8,12 @@ std::string InvocationReportToJson(const InvocationReport& report) {
   JsonWriter json;
   json.BeginObject()
       .Field("function", report.function)
-      .Field("mode", report.mode);
-  // Outcome fields appear only for non-ok invocations, so reports from fault-free
-  // runs stay byte-identical to builds that predate the chaos subsystem.
-  if (report.outcome != InvocationOutcome::kOk) {
-    json.Field("outcome", report.OutcomeTag());
-    if (!report.degraded_mode.empty()) {
-      json.Field("degraded_mode", report.degraded_mode);
-    }
-    if (!report.status.ok()) {
-      json.Field("status", report.status.ToString());
-    }
-    if (!report.prefetch_failed_pages.is_zero()) {
-      json.Field("prefetch_failed_pages", report.prefetch_failed_pages);
-    }
-  }
-  json.Field("total_ms", report.total_time().millis())
+      .Field("mode", report.mode)
+      .Field("outcome", report.OutcomeTag())
+      .Field("degraded_mode", report.degraded_mode)
+      .Field("status", report.status.ToString())
+      .Field("prefetch_failed_pages", report.prefetch_failed_pages)
+      .Field("total_ms", report.total_time().millis())
       .Field("setup_ms", report.setup_time.millis())
       .Field("invocation_ms", report.invocation_time.millis())
       .Field("fetch_ms", report.fetch_time.millis())
@@ -37,28 +27,15 @@ std::string InvocationReportToJson(const InvocationReport& report) {
 
   json.Key("faults").BeginObject();
   for (int i = 0; i < static_cast<int>(FaultClass::kClassCount); ++i) {
-    const FaultClass cls = static_cast<FaultClass>(i);
-    // The huge-install class only exists under the huge-page lever; omitting it
-    // at zero keeps lever-off reports byte-identical to pre-lever builds.
-    if (cls == FaultClass::kHugeInstall && report.faults.counts[i] == 0) {
-      continue;
-    }
-    json.Field(std::string(FaultClassName(cls)), static_cast<int64_t>(report.faults.counts[i]));
+    json.Field(std::string(FaultClassName(static_cast<FaultClass>(i))),
+               static_cast<int64_t>(report.faults.counts[i]));
   }
-  // Lever attribution appears only when a lever actually produced work (same
-  // byte-identity rule as above).
-  if (report.faults.batch_installs > 0) {
-    json.Field("batch_installs", report.faults.batch_installs)
-        .Field("batch_installed_pages", report.faults.batch_installed_pages);
-  }
-  if (report.faults.huge_installs > 0 || report.faults.huge_splits > 0) {
-    json.Field("huge_installs", report.faults.huge_installs)
-        .Field("huge_installed_pages", report.faults.huge_installed_pages)
-        .Field("huge_splits", report.faults.huge_splits);
-  }
-  if (!report.faults.coalesced_pages.is_zero()) {
-    json.Field("coalesced_pages", report.faults.coalesced_pages);
-  }
+  json.Field("batch_installs", report.faults.batch_installs)
+      .Field("batch_installed_pages", report.faults.batch_installed_pages)
+      .Field("huge_installs", report.faults.huge_installs)
+      .Field("huge_installed_pages", report.faults.huge_installed_pages)
+      .Field("huge_splits", report.faults.huge_splits)
+      .Field("coalesced_pages", report.faults.coalesced_pages);
   json.Field("total_fault_time_ms", report.faults.total_fault_time.millis())
       .Field("total_wait_time_ms", report.faults.total_wait_time.millis())
       .EndObject();

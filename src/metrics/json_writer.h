@@ -11,8 +11,9 @@
 
 namespace faasnap {
 
-// Full InvocationReport as a JSON object (times in milliseconds, sizes in bytes,
-// fault counts by class, and the latency histogram buckets).
+// Full InvocationReport as a JSON object with a fixed set of keys: outcome,
+// times in milliseconds, sizes in bytes, fault counts by class with the lever
+// attribution, and the latency histogram buckets.
 std::string InvocationReportToJson(const InvocationReport& report);
 
 }  // namespace faasnap

@@ -22,10 +22,9 @@
 // Like every obs component the recorder is passive and deterministic: it is
 // driven synchronously from Platform's invoke-completion path on the
 // simulation thread and never schedules events or reads clocks. When a
-// MetricsRegistry is supplied, the forensics series (`forensics.invocations`,
-// `forensics.retained`, ...) are registered there — only then, following the
-// conditional-registration rule, so recorder-free metric snapshots stay
-// bit-identical.
+// MetricsRegistry is supplied, Configure registers the forensics series
+// (`forensics.invocations`, `forensics.retained`, ...) there; a run without
+// forensics never calls Configure and so has none of them.
 
 #ifndef FAASNAP_SRC_OBS_FLIGHT_RECORDER_H_
 #define FAASNAP_SRC_OBS_FLIGHT_RECORDER_H_

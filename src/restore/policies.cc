@@ -32,6 +32,19 @@ std::string_view RestoreModeName(RestoreMode mode) {
   return "unknown";
 }
 
+Result<RestoreMode> ParseRestoreMode(std::string_view name) {
+  std::string known;
+  for (int i = 0; i <= static_cast<int>(RestoreMode::kFaasnap); ++i) {
+    const auto mode = static_cast<RestoreMode>(i);
+    if (name == RestoreModeName(mode)) {
+      return mode;
+    }
+    known += (i == 0 ? "" : ", ") + std::string(RestoreModeName(mode));
+  }
+  return InvalidArgumentError("unknown restore mode: " + std::string(name) + " (try " +
+                              known + ")");
+}
+
 Duration RestorePolicy::BaseSetupCost(const RestoreEnv& env) const {
   // All snapshot systems pay the VMM process restore. (Daemon dispatch is
   // accounted by the Platform's serialized request queue.)

@@ -6,6 +6,26 @@
 
 namespace faasnap {
 
+Status ParseAdmissionConfig(const JsonValue& node, AdmissionConfig* config) {
+  const int64_t max_concurrency = node.GetIntOr("max_concurrency", config->max_concurrency);
+  const int64_t queue_capacity = node.GetIntOr("queue_capacity", config->queue_capacity);
+  const double fairness_share = node.GetNumberOr("fairness_share", config->fairness_share);
+  if (max_concurrency < 1 || queue_capacity < 0) {
+    return InvalidArgumentError(
+        "admission max_concurrency must be >= 1 and queue_capacity >= 0");
+  }
+  if (fairness_share < 0.0 || fairness_share > 1.0) {
+    return InvalidArgumentError("admission fairness_share must be in [0, 1]");
+  }
+  config->max_concurrency = static_cast<int>(max_concurrency);
+  config->queue_capacity = static_cast<int>(queue_capacity);
+  config->queue_deadline = node.GetDurationUsOr("queue_deadline_us", config->queue_deadline);
+  config->memory_budget_bytes =
+      node.GetByteCountMiBOr("memory_budget_mib", config->memory_budget_bytes);
+  config->fairness_share = fairness_share;
+  return OkStatus();
+}
+
 AdmissionController::AdmissionController(Simulation* sim, AdmissionConfig config, Hooks hooks)
     : sim_(sim), config_(config), hooks_(std::move(hooks)) {
   FAASNAP_CHECK(sim_ != nullptr);

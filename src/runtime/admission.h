@@ -32,6 +32,7 @@
 #include <functional>
 #include <vector>
 
+#include "src/common/json.h"
 #include "src/common/sim_time.h"
 #include "src/common/units.h"
 #include "src/metrics/report.h"
@@ -54,6 +55,13 @@ struct AdmissionConfig {
   // ceil(fairness_share * max_concurrency) slots while others wait. 0 disables.
   double fairness_share = 0.0;
 };
+
+// Overlays the admission keys present in `node` onto `config`: max_concurrency,
+// queue_capacity, queue_deadline_us, memory_budget_mib, fairness_share. Absent
+// keys keep their current value. InvalidArgument when max_concurrency < 1,
+// queue_capacity < 0 or fairness_share is outside [0, 1]. Shared by the
+// experiment ("admission" block) and cluster ("host" block) config loaders.
+Status ParseAdmissionConfig(const JsonValue& node, AdmissionConfig* config);
 
 // One offered arrival. `id` is caller-assigned and unique per arrival (it keys
 // the pending deadline); `predicted_bytes` is charged against the memory

@@ -35,8 +35,7 @@ ForensicOutcome ToForensicOutcome(InvocationOutcome outcome) {
 
 // Pressure-ladder degradation of the per-invocation prefetch machinery: shrink
 // every readahead window and cap the loader's pipeline depth. Null overrides
-// (the normal case) return the config untouched, keeping the legacy path
-// bit-identical.
+// (the normal case) return the config untouched.
 ReadaheadConfig ApplyPressure(ReadaheadConfig config, const Platform::PressureOverrides* p) {
   if (p == nullptr || p->readahead_scale >= 1.0) {
     return config;
@@ -117,15 +116,14 @@ void Platform::SetObservability(SpanTracer* spans, MetricsRegistry* metrics) {
   cache_.set_observability(metrics);
   if (chaos_ != nullptr) {
     chaos_->set_observability(metrics);
-    for (int i = 0; i < kInvocationOutcomeCount; ++i) {
-      static constexpr std::string_view kOutcomes[kInvocationOutcomeCount] = {
-          "ok", "degraded", "failed", "shed_queue_full", "shed_deadline"};
-      outcome_counters_[i] =
-          metrics != nullptr
-              ? metrics->GetCounter("invocations.outcome",
-                                    {{"outcome", std::string(kOutcomes[i])}})
-              : nullptr;
-    }
+  }
+  for (int i = 0; i < kInvocationOutcomeCount; ++i) {
+    static constexpr std::string_view kOutcomes[kInvocationOutcomeCount] = {
+        "ok", "degraded", "failed", "shed_queue_full", "shed_deadline"};
+    outcome_counters_[i] =
+        metrics != nullptr
+            ? metrics->GetCounter("invocations.outcome", {{"outcome", std::string(kOutcomes[i])}})
+            : nullptr;
   }
 }
 

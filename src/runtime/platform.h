@@ -63,8 +63,8 @@ class Platform {
   // Pressure-driven degradation hook (the admission layer's ladder). While a
   // non-null overrides struct is attached, newly built invocations shrink
   // their readahead windows by `readahead_scale` and cap the prefetch
-  // pipeline depth at `loader_depth_cap`. Null (the default) keeps the exact
-  // legacy construction path; the struct must outlive its attachment.
+  // pipeline depth at `loader_depth_cap`. Null (the default) applies no
+  // overrides; the struct must outlive its attachment.
   struct PressureOverrides {
     double readahead_scale = 1.0;  // (0, 1]: multiplies every window, floor 1 page
     int loader_depth_cap = 0;      // 0 = uncapped
@@ -140,8 +140,8 @@ class Platform {
   FlightRecorder* forensics_ = nullptr;
   MetricsTimeline* timeline_ = nullptr;
   const PressureOverrides* pressure_ = nullptr;
-  // Per-outcome invocation counters; registered only when chaos is enabled so
-  // fault-free metrics snapshots stay identical to pre-chaos builds.
+  // Per-outcome invocation counters (`invocations.outcome{outcome=...}`);
+  // null while no metrics registry is attached.
   Counter* outcome_counters_[kInvocationOutcomeCount] = {};
 };
 

@@ -71,19 +71,14 @@ void StorageRouter::set_observability(SpanTracer* spans, MetricsRegistry* metric
   if (metrics != nullptr) {
     routed_local_ = metrics->GetCounter("storage.routed_reads", {{"tier", "local"}});
     routed_remote_ = metrics->GetCounter("storage.routed_reads", {{"tier", "remote"}});
-  } else {
-    routed_local_ = nullptr;
-    routed_remote_ = nullptr;
-  }
-  // Fault-handling series exist only under chaos, so fault-free runs keep a
-  // bit-identical metrics snapshot.
-  if (metrics != nullptr && injector_ != nullptr) {
     retries_metric_ = metrics->GetCounter("storage.retries");
     failovers_metric_ = metrics->GetCounter("storage.failovers");
     breaker_opens_metric_ = metrics->GetCounter("storage.breaker_opens");
     read_failures_metric_ = metrics->GetCounter("storage.read_failures");
     retry_latency_metric_ = metrics->GetHistogram("storage.retry_latency_ns");
   } else {
+    routed_local_ = nullptr;
+    routed_remote_ = nullptr;
     retries_metric_ = nullptr;
     failovers_metric_ = nullptr;
     breaker_opens_metric_ = nullptr;
@@ -126,8 +121,8 @@ void StorageRouter::ReadWithStatus(FileId file, uint64_t offset, uint64_t bytes,
     (device == kLocalDevice ? routed_local_ : routed_remote_)->Add(1);
   }
   if (injector_ == nullptr) {
-    // Chaos off: a single direct device read, event-for-event identical to the
-    // untyped path.
+    // Chaos off: a single direct device read, the same events as the untyped
+    // path.
     devices_[device]->Read(offset, bytes, DeviceReadOptions{cls, /*stream=*/file, parent},
                            std::move(done));
     return;

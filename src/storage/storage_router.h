@@ -120,9 +120,9 @@ class StorageRouter {
   StorageFaultStats fault_stats() const FAASNAP_EXCLUDES(mu_);
   const StorageFaultPolicy& fault_policy() const { return policy_; }
 
-  // Attaches tracing/metrics to every registered device (and, via
-  // routed-read counters, to the router itself). Call after AddDevice and
-  // ConfigureFaultHandling.
+  // Attaches tracing/metrics to every registered device and to the router
+  // itself (routed-read counters and the storage.retries/failovers/
+  // breaker_opens/read_failures/retry_latency_ns series). Call after AddDevice.
   void set_observability(SpanTracer* spans, MetricsRegistry* metrics);
 
  private:
@@ -160,8 +160,7 @@ class StorageRouter {
   // Reads routed per device tier ({tier=local|remote}); null when detached.
   Counter* routed_local_ = nullptr;
   Counter* routed_remote_ = nullptr;
-  // Fault-handling metrics; registered only while an injector is attached so
-  // fault-free runs keep an identical metrics snapshot.
+  // Fault-handling metrics; held at 0 while no injector is attached.
   Counter* retries_metric_ = nullptr;
   Counter* failovers_metric_ = nullptr;
   Counter* breaker_opens_metric_ = nullptr;

@@ -75,6 +75,44 @@ TEST(ClusterDeterminism, RepeatedRunsAreIdentical) {
   EXPECT_EQ(RunCluster(2, ArrivalProcess::kDiurnal), RunCluster(2, ArrivalProcess::kDiurnal));
 }
 
+Result<ClusterExperiment> ParseCluster(const std::string& text) {
+  ASSIGN_OR_RETURN(JsonValue root, ParseJson(text));
+  return ParseClusterExperiment(root);
+}
+
+TEST(ClusterConfig, ParsesHostAdmissionLimits) {
+  Result<ClusterExperiment> parsed = ParseCluster(R"({
+    "host": {"max_concurrency": 3, "queue_capacity": 5, "queue_deadline_us": 700,
+             "memory_budget_mib": 64, "fairness_share": 0.5},
+    "workload": {"functions": ["json"], "count": 7}
+  })");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const AdmissionConfig& admission = parsed->cluster.host.admission;
+  EXPECT_EQ(admission.max_concurrency, 3);
+  EXPECT_EQ(admission.queue_capacity, 5);
+  EXPECT_EQ(admission.queue_deadline, Duration::Micros(700));
+  EXPECT_EQ(admission.memory_budget_bytes, MiB(64));
+  EXPECT_EQ(admission.fairness_share, 0.5);
+  EXPECT_EQ(parsed->arrival_count, 7u);
+}
+
+TEST(ClusterConfig, RejectsInvalidHostAdmissionAndArrivalCount) {
+  // Each of these used to parse and then abort (a zero-slot controller) or
+  // wrap (a negative count cast to size_t).
+  const std::string workload = R"("workload": {"functions": ["json"]})";
+  for (const char* host : {R"({"max_concurrency": 0})", R"({"queue_capacity": -1})",
+                           R"({"fairness_share": 1.5})"}) {
+    const Result<ClusterExperiment> parsed =
+        ParseCluster(std::string(R"({"host": )") + host + ", " + workload + "}");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << host;
+  }
+  for (const char* count : {"0", "-1"}) {
+    const Result<ClusterExperiment> parsed = ParseCluster(
+        std::string(R"({"workload": {"functions": ["json"], "count": )") + count + "}}");
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << count;
+  }
+}
+
 TEST(ClusterDeterminism, ShippedConfigLoadsAndRunsDeterministically) {
   // The shipped cluster config must parse, and a run driven by it must be
   // reproducible thread-count-independently end to end.

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "src/daemon/experiment_config.h"
 #include "src/daemon/experiment_runner.h"
 
@@ -9,6 +13,35 @@ namespace {
 Result<ExperimentConfig> Parse(const std::string& text) {
   ASSIGN_OR_RETURN(JsonValue root, ParseJson(text));
   return ParseExperimentConfig(root);
+}
+
+// Value of the counter `name` whose labels are exactly `labels` in a metrics
+// snapshot file; -1 when the series is absent.
+int64_t CounterIn(const std::string& path, const std::string& name,
+                  const std::map<std::string, std::string>& labels = {}) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  Result<JsonValue> root = ParseJson(text.str());
+  EXPECT_TRUE(root.ok()) << path;
+  Result<JsonValue> metrics = root.ok() ? root->Get("metrics") : root;
+  if (!metrics.ok()) {
+    return -1;
+  }
+  for (const JsonValue& series : metrics->array()) {
+    Result<JsonValue> series_labels = series.Get("labels");
+    if (series.GetStringOr("name", "") != name || !series_labels.ok()) {
+      continue;
+    }
+    std::map<std::string, std::string> got;
+    for (const auto& [key, value] : series_labels->object()) {
+      got[key] = value.AsString().ok() ? *value.AsString() : "";
+    }
+    if (got == labels) {
+      return series.GetIntOr("value", -1);
+    }
+  }
+  return -1;
 }
 
 TEST(ExperimentConfig, MinimalConfigGetsDefaults) {
@@ -61,6 +94,18 @@ TEST(ExperimentConfig, RejectsBadInput) {
   EXPECT_FALSE(Parse(R"({"functions":["json"],"device":"floppy"})").ok());
   EXPECT_FALSE(Parse(R"({"functions":["json"],"reps":0})").ok());
   EXPECT_FALSE(Parse(R"([1,2,3])").ok());  // root not an object
+  EXPECT_FALSE(Parse(R"({"functions":["json"],"admission":{"max_concurrency":0}})").ok());
+  EXPECT_FALSE(Parse(R"({"functions":["json"],"admission":{"enabled":false}})").ok());
+}
+
+TEST(ExperimentConfig, AbsentAdmissionBlockAdmitsTheWholeBurst) {
+  Result<ExperimentConfig> config = Parse(R"({"functions": ["json"], "parallelism": 16})");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_EQ(config->admission.max_concurrency, 16);
+  EXPECT_EQ(config->admission.queue_capacity, 0);
+  EXPECT_EQ(config->admission.queue_deadline, Duration::Zero());
+  EXPECT_TRUE(config->admission.memory_budget_bytes.is_zero());
+  EXPECT_EQ(config->admission.fairness_share, 0.0);
 }
 
 TEST(ExperimentConfig, LoadsTheShippedConfigs) {
@@ -104,6 +149,11 @@ TEST(ExperimentRunner, RunsATinyConfigEndToEnd) {
   const std::string json = results->ToJson();
   EXPECT_NE(json.find("\"system\":\"faasnap\""), std::string::npos);
   EXPECT_NE(json.find("\"reps\":2"), std::string::npos);
+  // Outcome tallies are part of every rendering, fault-free runs included.
+  EXPECT_NE(results->ToTable().find("ok/deg/fail/shed"), std::string::npos);
+  EXPECT_NE(results->ToTable().find("2/0/0/0"), std::string::npos);
+  EXPECT_NE(json.find("\"ok\":2,\"degraded\":0,\"failed\":0,\"shed\":0"),
+            std::string::npos);
 }
 
 TEST(ExperimentRunner, BurstConfigAggregatesPerInvocation) {
@@ -138,7 +188,11 @@ TEST(ExperimentRunner, AdmissionBurstShedsTypedOutcomes) {
     }
   })");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
-  EXPECT_TRUE(config->admission_enabled);
+  EXPECT_EQ(config->admission.max_concurrency, 1);
+  EXPECT_EQ(config->admission.queue_capacity, 1);
+  EXPECT_EQ(config->admission.queue_deadline, Duration::Micros(10));
+  EXPECT_TRUE(config->admission.memory_budget_bytes.is_zero());
+  EXPECT_EQ(config->admission.fairness_share, 0.0);
   Result<ExperimentResults> results = RunExperiment(*config);
   ASSERT_TRUE(results.ok()) << results.status().ToString();
   ASSERT_EQ(results->cells.size(), 1u);
@@ -147,6 +201,54 @@ TEST(ExperimentRunner, AdmissionBurstShedsTypedOutcomes) {
   EXPECT_EQ(cell.total_ms.count(), 1);  // only the admitted member reports latency
   EXPECT_NE(results->ToTable().find("ok/deg/fail/shed"), std::string::npos);
   EXPECT_NE(results->ToJson().find("\"shed\":7"), std::string::npos);
+}
+
+TEST(ExperimentRunner, FaultFreeAdmissionBurstWritesOutcomeSeries) {
+  // The same burst as above, without chaos: every arrival still lands in the
+  // invocations.outcome series of the metrics snapshot.
+  Result<ExperimentConfig> config = Parse(R"({
+    "functions": ["json"],
+    "systems": ["faasnap"],
+    "test_inputs": ["A"],
+    "reps": 1,
+    "parallelism": 8,
+    "admission": {"max_concurrency": 1, "queue_capacity": 1, "queue_deadline_us": 10}
+  })");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  ASSERT_FALSE(config->platform.chaos.enabled);
+  config->metrics_out = ::testing::TempDir() + "admission_burst.metrics.json";
+  ASSERT_TRUE(RunExperiment(*config).ok());
+  const std::string& path = config->metrics_out;
+  EXPECT_EQ(CounterIn(path, "invocations.outcome", {{"outcome", "ok"}}), 1);
+  EXPECT_EQ(CounterIn(path, "invocations.outcome", {{"outcome", "shed_queue_full"}}), 6);
+  EXPECT_EQ(CounterIn(path, "invocations.outcome", {{"outcome", "shed_deadline"}}), 1);
+  EXPECT_EQ(CounterIn(path, "invocations.outcome", {{"outcome", "degraded"}}), 0);
+  EXPECT_EQ(CounterIn(path, "invocations.outcome", {{"outcome", "failed"}}), 0);
+}
+
+TEST(ExperimentRunner, FaultFreeLeverOffRunRegistersEverySeriesAtZero) {
+  // Chaos and the fault-path levers are off; their series are present anyway,
+  // so every run's metrics snapshot has one shape.
+  Result<ExperimentConfig> config = Parse(R"({
+    "functions": ["json"],
+    "systems": ["reap", "faasnap"],
+    "reps": 1
+  })");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  ASSERT_FALSE(config->platform.fault_path.batched_uffd_install);
+  ASSERT_FALSE(config->platform.fault_path.huge_pages);
+  ASSERT_FALSE(config->platform.fault_path.fault_coalescing);
+  config->metrics_out = ::testing::TempDir() + "lever_off.metrics.json";
+  ASSERT_TRUE(RunExperiment(*config).ok());
+  const std::string& path = config->metrics_out;
+  for (const char* name : {"faults.batch_installs", "faults.batch_pages", "faults.huge_installs",
+                           "faults.huge_pages", "faults.huge_splits", "faults.coalesced",
+                           "storage.retries", "storage.failovers", "storage.breaker_opens",
+                           "storage.read_failures", "page_cache.failed_reads"}) {
+    EXPECT_EQ(CounterIn(path, name), 0) << name;
+  }
+  EXPECT_EQ(CounterIn(path, "faults.by_class", {{"class", "huge-install"}}), 0);
+  EXPECT_EQ(CounterIn(path, "invocations.outcome", {{"outcome", "ok"}}), 2);
 }
 
 TEST(ExperimentRunner, RatioInputsScaleWork) {

@@ -185,7 +185,7 @@ TEST(LintRuleTest, FilesOutsideSrcGetNoLayeringRule) {
 }
 
 // ---------------------------------------------------------------------------
-// v2 semantic passes: raw-unit, lock-order, gated-metric.
+// v2 semantic passes: raw-unit, lock-order.
 // ---------------------------------------------------------------------------
 
 TEST(LintRuleTest, RawUnitFixtureFires) {
@@ -276,66 +276,6 @@ TEST(LintProjectTest, LockOrderAllowlistDropsFacts) {
       ExtractFacts(config, "src/sim/bad_lock_order_a.cc", Fixture("bad_lock_order_a.cc"));
   EXPECT_TRUE(facts.lock_edges.empty());
   EXPECT_TRUE(facts.method_locks.empty());
-}
-
-TEST(LintProjectTest, GatedMetricFixtureFires) {
-  const Config config = RealConfig();
-  const std::vector<FileFacts> facts = {
-      ExtractFacts(config, "src/mem/bad_gated_metric.cc", Fixture("bad_gated_metric.cc")),
-  };
-  const auto violations = LintProject(config, facts);
-  const auto counts = CountByRule(violations);
-  // faults.batch_installs (no condition) and faults.huge_maps (null check
-  // only); faults.coalesced is properly gated and faults.by_class is
-  // always-on.
-  EXPECT_EQ(counts.at("gated-metric"), 2);
-  for (const Violation& v : violations) {
-    EXPECT_EQ(v.message.find("by_class"), std::string::npos) << v.message;
-    EXPECT_EQ(v.message.find("coalesced"), std::string::npos) << v.message;
-  }
-}
-
-TEST(LintProjectTest, ConfigureEscapeNeedsGatedCallers) {
-  const Config config = RealConfig();
-  const std::string registration =
-      "void Recorder::Configure(MetricsRegistry* metrics) {\n"
-      "  if (metrics != nullptr) {\n"
-      "    inv_ = metrics->GetCounter(\"forensics.invocations\");\n"
-      "  }\n"
-      "}\n";
-  const std::string gated_caller =
-      "void Runner::Setup() {\n"
-      "  if (config.forensics) {\n"
-      "    obs->forensics.Configure(config.fc, &obs->metrics);\n"
-      "  }\n"
-      "}\n";
-  const std::string ungated_caller =
-      "void Runner::Setup() {\n"
-      "  obs->forensics.Configure(config.fc, &obs->metrics);\n"
-      "}\n";
-
-  // A registration inside Configure is legal when every call site is gated...
-  {
-    const std::vector<FileFacts> facts = {
-        ExtractFacts(config, "src/obs/rec.cc", registration),
-        ExtractFacts(config, "src/daemon/run.cc", gated_caller),
-    };
-    EXPECT_TRUE(LintProject(config, facts).empty());
-  }
-  // ...but an unconditional caller (or no caller at all) breaks the escape.
-  {
-    const std::vector<FileFacts> facts = {
-        ExtractFacts(config, "src/obs/rec.cc", registration),
-        ExtractFacts(config, "src/daemon/run.cc", ungated_caller),
-    };
-    EXPECT_EQ(CountByRule(LintProject(config, facts)).at("gated-metric"), 1);
-  }
-  {
-    const std::vector<FileFacts> facts = {
-        ExtractFacts(config, "src/obs/rec.cc", registration),
-    };
-    EXPECT_EQ(CountByRule(LintProject(config, facts)).at("gated-metric"), 1);
-  }
 }
 
 TEST(LintFactsTest, ExtractsQualifiedLockKeysAndNestingEdges) {

@@ -76,6 +76,14 @@ TEST(InvocationReportJson, ContainsAllSections) {
   EXPECT_NE(json.find("\"major\":1"), std::string::npos);
   EXPECT_NE(json.find("fault_latency_histogram"), std::string::npos);
   EXPECT_NE(json.find("\"fetch_bytes\":1234"), std::string::npos);
+  // Fixed shape: outcome and lever fields appear on ok, lever-off reports too.
+  EXPECT_NE(json.find("\"outcome\":\"ok\""), std::string::npos);
+  EXPECT_NE(json.find("\"prefetch_failed_pages\":0"), std::string::npos);
+  EXPECT_NE(json.find("\"huge-install\":0"), std::string::npos);
+  for (const char* lever : {"batch_installs", "batch_installed_pages", "huge_installs",
+                            "huge_installed_pages", "huge_splits", "coalesced_pages"}) {
+    EXPECT_NE(json.find("\"" + std::string(lever) + "\":0"), std::string::npos) << lever;
+  }
   // Balanced braces/brackets.
   int depth = 0;
   for (char c : json) {

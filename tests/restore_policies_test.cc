@@ -99,6 +99,19 @@ TEST(RestoreModeName, AllNamesDistinct) {
   EXPECT_EQ(RestoreModeName(RestoreMode::kFaasnapPerRegion), "per-region");
 }
 
+TEST(RestoreModeName, EveryModeRoundTripsThroughParseRestoreMode) {
+  for (int i = 0; i <= static_cast<int>(RestoreMode::kFaasnap); ++i) {
+    const auto mode = static_cast<RestoreMode>(i);
+    Result<RestoreMode> parsed = ParseRestoreMode(RestoreModeName(mode));
+    ASSERT_TRUE(parsed.ok()) << RestoreModeName(mode);
+    EXPECT_EQ(*parsed, mode);
+  }
+  for (const char* unknown : {"", "FaaSnap", "unknown", "faasnap "}) {
+    EXPECT_EQ(ParseRestoreMode(unknown).status().code(), StatusCode::kInvalidArgument)
+        << unknown;
+  }
+}
+
 TEST(RestorePolicyFactory, CreatesEveryMode) {
   for (RestoreMode mode :
        {RestoreMode::kWarm, RestoreMode::kFirecracker, RestoreMode::kCached, RestoreMode::kReap,

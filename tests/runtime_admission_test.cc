@@ -66,6 +66,27 @@ class AdmissionControllerTest : public ::testing::Test {
   uint64_t reclaimable_ = 0;  // bytes make_room may actually free
 };
 
+TEST(ParseAdmissionConfig, OverlaysPresentKeysAndValidates) {
+  Result<JsonValue> node = ParseJson(R"({"max_concurrency": 2, "queue_deadline_us": 300})");
+  ASSERT_TRUE(node.ok());
+  AdmissionConfig config;
+  config.queue_capacity = 9;
+  ASSERT_TRUE(ParseAdmissionConfig(*node, &config).ok());
+  EXPECT_EQ(config.max_concurrency, 2);
+  EXPECT_EQ(config.queue_capacity, 9);  // absent: kept
+  EXPECT_EQ(config.queue_deadline, Duration::Micros(300));
+
+  for (const char* bad : {R"({"max_concurrency": 0})", R"({"queue_capacity": -1})",
+                          R"({"fairness_share": -0.1})", R"({"fairness_share": 2})"}) {
+    Result<JsonValue> doc = ParseJson(bad);
+    ASSERT_TRUE(doc.ok());
+    AdmissionConfig untouched;
+    EXPECT_EQ(ParseAdmissionConfig(*doc, &untouched).code(), StatusCode::kInvalidArgument)
+        << bad;
+    EXPECT_EQ(untouched.max_concurrency, AdmissionConfig{}.max_concurrency) << bad;
+  }
+}
+
 TEST_F(AdmissionControllerTest, ConcurrencyCapDispatchesFifo) {
   AdmissionConfig config;
   config.max_concurrency = 2;

@@ -351,8 +351,6 @@ Result<Config> ParseConfig(std::string_view json) {
       ASSIGN_OR_RETURN(config.raw_unit_allow, cur.ParseStringArray());
     } else if (key == "lock_order_allow") {
       ASSIGN_OR_RETURN(config.lock_order_allow, cur.ParseStringArray());
-    } else if (key == "gated_metrics") {
-      ASSIGN_OR_RETURN(config.gated_metrics, cur.ParseStringArray());
     } else {
       return InvalidArgumentError("layers.json: unknown key \"" + key + "\"");
     }
@@ -757,10 +755,8 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
   struct Scope {
     enum Kind { kNamespace, kClass, kFunction, kBlock };
     Kind kind = kBlock;
-    std::string name;            // class name (kClass) / qualified fn (kFunction)
-    std::string fn_unqualified;  // kFunction only
-    std::string fn_class;        // kFunction: resolved class context ("" = free)
-    bool gated = false;          // under an if testing more than metrics != nullptr
+    std::string name;      // class name (kClass) / qualified fn (kFunction)
+    std::string fn_class;  // kFunction: resolved class context ("" = free)
     std::vector<std::string> locks;  // mutex keys declared directly in this scope
   };
   std::vector<Scope> scopes;
@@ -797,18 +793,12 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
     }
     return held;
   };
-  auto current_gated = [&]() { return !scopes.empty() && scopes.back().gated; };
-
   // An `IDENT (` group whose matching `)` has not closed yet. When it closes
-  // at class/namespace scope it becomes the pending function candidate; an
-  // `if` candidate instead computes whether its condition is meaningful.
+  // at class/namespace scope it becomes the pending function candidate.
   struct Candidate {
     std::string name;       // unqualified
     std::string qualifier;  // "Foo" for Foo::Bar( and Foo::~Foo(
     int paren_depth = 0;    // depth before the '('
-    bool is_if = false;
-    size_t open_tok = 0;    // token index of the name (condition starts after '(')
-    int line = 0;
   };
   std::vector<Candidate> candidates;
   int paren_depth = 0;
@@ -822,11 +812,6 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
     bool locked = false;
   };
   PendingFn pending_fn;
-  struct PendingIf {
-    bool armed = false;
-    bool cond_gated = false;
-  };
-  PendingIf pending_if;
   std::string pending_class;
   bool pending_namespace = false;
   std::string prev_ident;
@@ -881,44 +866,13 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
           facts.method_locks[fn->name].insert(key);
           scopes.back().locks.push_back(key);
         }
-      } else if ((t == "GetCounter" || t == "GetGauge" || t == "GetHistogram") &&
-                 (prev == "." || prev == "->") && next == "(") {
-        // The metric-name literal was blanked by the stripper, but offsets are
-        // length-preserved, so re-read it from the raw text. A ';' before the
-        // first quote means the name is a variable — skip those sites.
-        const size_t open = toks[i + 1].begin;
-        const size_t quote = content.find('"', open);
-        const size_t semi = content.find(';', open);
-        if (quote != std::string_view::npos && (semi == std::string_view::npos || quote < semi)) {
-          const size_t close = content.find('"', quote + 1);
-          if (close != std::string_view::npos) {
-            const std::string metric(content.substr(quote + 1, close - quote - 1));
-            if (PathAllowed(config.gated_metrics, metric)) {
-              Scope* fn = function_scope();
-              facts.gated_registrations.push_back(FileFacts::GatedRegistration{
-                  metric, fn != nullptr ? fn->fn_unqualified : "", current_gated(), tok.line});
-            }
-          }
-        }
-      } else if (t == "Configure" && (prev == "." || prev == "->") && next == "(") {
-        facts.configure_calls.push_back(FileFacts::ConfigureCall{current_gated(), tok.line});
       }
 
       if (next == "(") {
-        if (t == "if") {
-          Candidate c;
-          c.name = "if";
-          c.is_if = true;
-          c.paren_depth = paren_depth;
-          c.open_tok = i;
-          c.line = tok.line;
-          candidates.push_back(std::move(c));
-        } else if (!IsNonCallKeyword(t) && t != "MutexLock" && prev_ident != "MutexLock") {
+        if (!IsNonCallKeyword(t) && t != "MutexLock" && prev_ident != "MutexLock") {
           Candidate c;
           c.name = std::string(t);
           c.paren_depth = paren_depth;
-          c.open_tok = i;
-          c.line = tok.line;
           if (prev == "::" && i >= 2 && toks[i - 2].ident) {
             c.qualifier = std::string(toks[i - 2].text);
           } else if (prev == "~" && i >= 3 && toks[i - 2].text == "::" && toks[i - 3].ident) {
@@ -959,19 +913,7 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
       if (!candidates.empty() && candidates.back().paren_depth == paren_depth) {
         Candidate c = std::move(candidates.back());
         candidates.pop_back();
-        if (c.is_if) {
-          // Meaningful condition: any identifier beyond the bare null check.
-          bool gated = false;
-          for (size_t k = c.open_tok + 2; k < i; ++k) {
-            if (toks[k].ident &&
-                std::isdigit(static_cast<unsigned char>(toks[k].text[0])) == 0 &&
-                toks[k].text != "metrics" && toks[k].text != "nullptr") {
-              gated = true;
-              break;
-            }
-          }
-          pending_if = PendingIf{true, gated};
-        } else if (function_scope() == nullptr && !pending_fn.locked) {
+        if (function_scope() == nullptr && !pending_fn.locked) {
           pending_fn.c = std::move(c);
           pending_fn.armed = true;
         }
@@ -982,12 +924,10 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
       }
     } else if (t == ";" || t == "=") {
       pending_fn = PendingFn{};
-      pending_if = PendingIf{};
       pending_class.clear();
       pending_namespace = false;
     } else if (t == "{") {
       Scope s;
-      const bool parent_gated = current_gated();
       if (pending_namespace) {
         s.kind = Scope::kNamespace;
       } else if (!pending_class.empty()) {
@@ -995,17 +935,12 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
         s.name = pending_class;
       } else if (pending_fn.armed && function_scope() == nullptr) {
         s.kind = Scope::kFunction;
-        s.fn_unqualified = pending_fn.c.name;
         s.fn_class =
             !pending_fn.c.qualifier.empty() ? pending_fn.c.qualifier : innermost_class();
-        s.name = (s.fn_class.empty() ? stem : s.fn_class) + "::" + s.fn_unqualified;
-      } else {
-        s.kind = Scope::kBlock;
-        s.gated = parent_gated || (pending_if.armed && pending_if.cond_gated);
+        s.name = (s.fn_class.empty() ? stem : s.fn_class) + "::" + pending_fn.c.name;
       }
       scopes.push_back(std::move(s));
       pending_fn = PendingFn{};
-      pending_if = PendingIf{};
       pending_class.clear();
       pending_namespace = false;
     } else if (t == "}") {
@@ -1013,7 +948,6 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
         scopes.pop_back();
       }
       pending_fn = PendingFn{};
-      pending_if = PendingIf{};
       pending_class.clear();
       pending_namespace = false;
     }
@@ -1023,8 +957,8 @@ FileFacts ExtractFacts(const Config& config, std::string_view path, std::string_
 
 std::vector<Violation> LintProject(const Config& /*config*/,
                                    const std::vector<FileFacts>& facts) {
-  // Gated-metric prefixes and lock allowlists were already applied during
-  // fact extraction; the project pass only merges and resolves.
+  // Lock allowlists were already applied during fact extraction; the project
+  // pass only merges and resolves.
   std::vector<Violation> out;
 
   // --- lock-order: merge every TU's nesting facts into one graph. ---
@@ -1137,40 +1071,6 @@ std::vector<Violation> LintProject(const Config& /*config*/,
     }
   }
 
-  // --- gated-metric: resolve registrations that rely on a Configure() entry
-  // point against that method's call sites across all TUs. ---
-  size_t cfg_calls = 0;
-  size_t cfg_gated = 0;
-  for (const FileFacts& f : facts) {
-    for (const FileFacts::ConfigureCall& c : f.configure_calls) {
-      ++cfg_calls;
-      cfg_gated += c.gated ? 1 : 0;
-    }
-  }
-  const bool configure_ok = cfg_calls > 0 && cfg_gated == cfg_calls;
-  for (const FileFacts& f : facts) {
-    for (const FileFacts::GatedRegistration& r : f.gated_registrations) {
-      if (r.gated) {
-        continue;
-      }
-      if (r.function == "Configure" && configure_ok) {
-        continue;
-      }
-      std::string msg = "metric \"" + r.metric +
-                        "\" is lever/forensics-gated but registers unconditionally";
-      if (r.function == "Configure") {
-        msg += cfg_calls == 0
-                   ? " (inside Configure, but no Configure() call site was found to "
-                     "validate gating)"
-                   : " (inside Configure, but not every Configure() call site is itself "
-                     "behind a feature check)";
-      } else {
-        msg += " (wrap the registration in the feature's config check, or move it into a "
-               "Configure() whose callers are gated)";
-      }
-      out.push_back(Violation{f.path, r.line, "gated-metric", std::move(msg)});
-    }
-  }
   return out;
 }
 

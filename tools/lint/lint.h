@@ -31,8 +31,8 @@
 //                    sites with a string literal on the same line, and at
 //                    `constexpr std::string_view` definitions.
 //
-// v2 adds three semantic passes. The first is per-declaration; the other two
-// build a symbol table over every file in one walk and then run cross-TU:
+// v2 adds two semantic passes. The first is per-declaration; the second
+// builds a symbol table over every file in one walk and then runs cross-TU:
 //
 //   * raw-unit     — a declaration typed u?int{32,64}_t whose identifier
 //                    carries a unit suffix (_us, _ns, _ms, _bytes, _pages —
@@ -48,16 +48,6 @@
 //                    Class::member, and any cycle — including a self-edge,
 //                    which is a re-acquisition deadlock for this non-reentrant
 //                    Mutex — fails the lint.
-//   * gated-metric — metrics for opt-in levers and forensics (prefixes listed
-//                    in layers.json `gated_metrics`: faults.batch*,
-//                    faults.huge*, faults.coalesced, forensics.*) must
-//                    register only when their feature is configured: the
-//                    GetCounter/GetGauge/GetHistogram call must sit under an
-//                    `if` that tests more than `metrics != nullptr`, or live
-//                    in a Configure() method whose src/ callers are all
-//                    themselves conditional (checked cross-TU).
-//                    Always-on metrics (faults.by_class) are simply not
-//                    listed as gated.
 //
 // The analyzer is deliberately lexical (strip comments/strings, then scan
 // tokens with a scope stack): it has no false-negative-free guarantee, but it
@@ -83,8 +73,7 @@ struct Violation {
   std::string file;  // repo-relative path, e.g. "src/mem/page_cache.cc"
   int line = 0;      // 1-based
   std::string rule;  // "layering" | "determinism" | "container" | "tracer-pairing" |
-                     // "void-comment" | "obs-naming" | "raw-unit" | "lock-order" |
-                     // "gated-metric"
+                     // "void-comment" | "obs-naming" | "raw-unit" | "lock-order"
   std::string message;
 
   bool operator==(const Violation& other) const = default;
@@ -109,8 +98,6 @@ struct Config {
   // Repo-relative path prefixes whose MutexLock uses do not feed the global
   // lock-order graph.
   std::vector<std::string> lock_order_allow;
-  // Metric-name prefixes that must register conditionally (gated-metric rule).
-  std::vector<std::string> gated_metrics;
 };
 
 // Cross-TU facts extracted from one file in a single scope-tracked token scan.
@@ -145,23 +132,6 @@ struct FileFacts {
     int line = 0;
   };
   std::vector<HeldCall> held_calls;
-
-  // A Get{Counter,Gauge,Histogram}("literal") registration of a gated metric.
-  struct GatedRegistration {
-    std::string metric;    // the literal name
-    std::string function;  // unqualified enclosing function name
-    bool gated = false;    // under an if testing more than metrics != nullptr
-    int line = 0;
-  };
-  std::vector<GatedRegistration> gated_registrations;
-
-  // A call site of some Configure(...) method, with whether it sits under any
-  // meaningful `if`. Used cross-TU to validate in-Configure registrations.
-  struct ConfigureCall {
-    bool gated = false;
-    int line = 0;
-  };
-  std::vector<ConfigureCall> configure_calls;
 };
 
 // Parses the layers.json config (strict subset of JSON: one object holding
@@ -179,16 +149,15 @@ std::string StripCommentsAndStrings(std::string_view content);
 std::vector<Violation> LintFile(const Config& config, std::string_view path,
                                 std::string_view content);
 
-// Extracts the cross-TU facts (lock nesting, gated registrations, Configure
-// call sites) from a single file. Honors the lock_order_allow /
-// gated_metrics config. Exposed for testing.
+// Extracts the cross-TU lock facts (nesting edges, per-method locks, calls
+// made while holding a lock) from a single file. Honors lock_order_allow.
+// Exposed for testing.
 FileFacts ExtractFacts(const Config& config, std::string_view path,
                        std::string_view content);
 
-// Cross-TU semantic passes over the whole project's facts: builds the global
+// Cross-TU semantic pass over the whole project's facts: builds the global
 // lock-order graph (direct nesting + one level of held-call indirection) and
-// fails on any cycle; resolves gated-metric registrations that rely on a
-// Configure() entry point against that method's call sites.
+// fails on any cycle.
 std::vector<Violation> LintProject(const Config& config,
                                    const std::vector<FileFacts>& facts);
 
