@@ -34,12 +34,13 @@ void Run(int reps) {
         config.disk = EbsIo2Profile();  // slow enough that loader order matters
         config.ws_group_size = n;
         config.seed = 1 + static_cast<uint64_t>(rep) * 7919;
-        Experiment experiment(function, config);
-        experiment.Record(MakeInputA(experiment.generator().spec()));
-        regions = experiment.snapshot().loading_set.regions.size();
-        const FunctionSpec& fspec = experiment.generator().spec();
-        InvocationReport r = experiment.Invoke(
-            RestoreMode::kFaasnap, fspec.fixed_input ? MakeInputA(fspec) : MakeInputB(fspec));
+        Platform platform(config);
+        TraceGenerator generator(*FindFunction(function), config.layout);
+        const FunctionSnapshot snapshot =
+            platform.Record(generator, MakeInputA(generator.spec()));
+        regions = snapshot.loading_set.regions.size();
+        InvocationReport r = platform.Invoke(snapshot, RestoreMode::kFaasnap, generator,
+                                             MakeInputB(generator.spec()));
         stats.Record(r.total_time().millis());
       }
       table.AddRow({FormatCell("%llu", static_cast<unsigned long long>(n)),

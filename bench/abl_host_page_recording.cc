@@ -61,27 +61,29 @@ void Run(int reps) {
         // interaction worth knowing about); merge 0 shows the raw difference.
         config.loading_set.merge_gap_pages = PageCount::Zero();
         config.seed = 1 + static_cast<uint64_t>(rep) * 7919;
-        Experiment experiment(function, config);
-        experiment.Record(MakeInputA(experiment.generator().spec()));
+        Platform platform(config);
+        TraceGenerator generator(*FindFunction(function), config.layout);
+        const FunctionSnapshot snapshot =
+            platform.Record(generator, MakeInputA(generator.spec()));
 
-        WorkloadInput test =
-            MakeScaledInput(experiment.generator().spec(), scenario.ratio, scenario.seed);
+        WorkloadInput test = MakeScaledInput(generator.spec(), scenario.ratio, scenario.seed);
 
         // Baseline: FaaSnap with its mincore-recorded working set.
-        InvocationReport with_mincore = experiment.Invoke(RestoreMode::kFaasnap, test);
+        InvocationReport with_mincore =
+            platform.Invoke(snapshot, RestoreMode::kFaasnap, generator, test);
         mincore_ms.Record(with_mincore.total_time().millis());
 
         // Variant: substitute a faulting-page-recorded working set.
-        FunctionSnapshot degraded = experiment.snapshot();
+        FunctionSnapshot degraded = snapshot;
         degraded.ws_groups =
             GroupsFromFaultOrder(degraded.reap_ws, config.ws_group_size);
         degraded.loading_set =
             BuildLoadingSet(degraded.ws_groups, degraded.memory_sanitized, config.loading_set);
-        degraded.loading_set.id = experiment.platform().store()->Register(
+        degraded.loading_set.id = platform.store()->Register(
             function + ".lset-faultrec", degraded.loading_set.total_pages);
-        experiment.platform().DropCaches();
-        InvocationReport with_faults = experiment.platform().Invoke(
-            degraded, RestoreMode::kFaasnap, experiment.generator(), test);
+        platform.DropCaches();
+        InvocationReport with_faults =
+            platform.Invoke(degraded, RestoreMode::kFaasnap, generator, test);
         faultrec_ms.Record(with_faults.total_time().millis());
       }
       table.AddRow({scenario.label, FormatCell("%.1f", mincore_ms.mean()),

@@ -30,16 +30,15 @@ void Run(int reps) {
         PlatformConfig config;
         config.loading_set.merge_gap_pages = PageCount::FromPages(threshold);
         config.seed = 1 + static_cast<uint64_t>(rep) * 7919;
-        Experiment experiment(function, config);
-        experiment.Record(MakeInputA(experiment.generator().spec()));
-        regions = experiment.snapshot().loading_set.regions.size();
-        ls_mb = static_cast<double>(PagesToBytes(experiment.snapshot().loading_set.total_pages).value()) /
+        Platform platform(config);
+        TraceGenerator generator(*FindFunction(function), config.layout);
+        const FunctionSnapshot snapshot =
+            platform.Record(generator, MakeInputA(generator.spec()));
+        regions = snapshot.loading_set.regions.size();
+        ls_mb = static_cast<double>(PagesToBytes(snapshot.loading_set.total_pages).value()) /
                 (1024.0 * 1024.0);
-        InvocationReport r = experiment.Invoke(
-            RestoreMode::kFaasnap,
-            experiment.generator().spec().fixed_input
-                ? MakeInputA(experiment.generator().spec())
-                : MakeInputB(experiment.generator().spec()));
+        InvocationReport r = platform.Invoke(snapshot, RestoreMode::kFaasnap, generator,
+                                             MakeInputB(generator.spec()));
         mmap_calls = r.mmap_calls;
         stats.Record(r.total_time().millis());
       }

@@ -1,76 +1,43 @@
 // Shared helpers for the figure/table benchmark harnesses.
 //
-// Each bench binary reproduces one table or figure from the paper's evaluation:
-// it runs the record phase once per (function, seed), then the test phase under
-// each system, dropping caches between tests (section 6.1), and prints the same
-// rows/series the paper reports.
+// Each bench binary reproduces one table or figure from the paper's evaluation.
+// Figure cells run through RunExperiment (src/daemon/experiment_runner.h), the
+// same engine as `artifact_runner`: per (system, rep) a fresh platform records
+// the function, drops caches and runs the test phase (section 6.1). Benches
+// that need snapshot internals call Platform::Record/Invoke directly.
 
 #ifndef FAASNAP_BENCH_BENCH_UTIL_H_
 #define FAASNAP_BENCH_BENCH_UTIL_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "src/runtime/platform.h"
+#include "src/daemon/experiment_runner.h"
 #include "src/metrics/table.h"
-#include "src/obs/observability.h"
+#include "src/runtime/platform.h"
 #include "src/storage/device_profiles.h"
 
 namespace faasnap {
 namespace bench {
 
-// Process-wide observability sink for the bench drivers, enabled by the
-// FAASNAP_TRACE_OUT / FAASNAP_METRICS_OUT environment variables:
-//
-//   FAASNAP_TRACE_OUT=fig01.trace.json build/bench/fig01_time_breakdown
-//
-// Returns null when neither variable is set (the usual case — benchmarks pay
-// one branch per Experiment). Every Experiment attaches automatically and opens
-// its own track; the files are written once at process exit.
-Observability* BenchObservability();
+// An in-code experiment: record with input A, test with `test_input` ("A",
+// "B" or a ratio like "2x"), one invocation per (system, rep), on a default
+// platform with seed 1.
+ExperimentConfig CellConfig(std::vector<std::string> functions,
+                            std::vector<RestoreMode> systems, const std::string& test_input,
+                            int reps);
 
-// One record phase + repeated test phases on a single platform, caches dropped
-// between tests.
-class Experiment {
- public:
-  // `seed` feeds device jitter; vary it across repetitions for error bars.
-  Experiment(const std::string& function, PlatformConfig config);
+// Runs `config`; aborts on an error (bench configs name catalog functions only).
+std::vector<ExperimentCell> RunCells(const ExperimentConfig& config);
 
-  // Runs the record phase with `record_input` (defaults to input A elsewhere).
-  void Record(const WorkloadInput& record_input);
-
-  // Test phase: drop caches, restore under `mode`, invoke with `test_input`.
-  InvocationReport Invoke(RestoreMode mode, const WorkloadInput& test_input);
-
-  const TraceGenerator& generator() const { return generator_; }
-  const FunctionSnapshot& snapshot() const { return snapshot_; }
-  Platform& platform() { return platform_; }
-
- private:
-  Platform platform_;
-  TraceGenerator generator_;
-  FunctionSnapshot snapshot_;
-  bool recorded_ = false;
-};
-
-// Mean/stddev of total execution time (ms) across `reps` repetitions with
-// different jitter seeds. Runs record(A-or-given) once per rep.
-struct CellStats {
-  double mean_ms = 0;
-  double std_ms = 0;
-};
-
-CellStats MeasureCell(const std::string& function, RestoreMode mode,
-                      const std::function<WorkloadInput(const FunctionSpec&)>& record_input,
-                      const std::function<WorkloadInput(const FunctionSpec&)>& test_input,
-                      PlatformConfig base_config, int reps);
-
-// "123.4 +- 5.6" cell text.
-std::string StatCell(const CellStats& stats);
+// "123.4 +- 5.6" cell text: mean and stddev of a cell's total time.
+std::string StatCell(const RunningStats& stats);
 
 // The four systems of Figures 1/6/7 in presentation order.
 std::vector<RestoreMode> PaperSystems();
+
+// The three synthetic functions followed by the nine benchmark functions.
+std::vector<std::string> AllFunctionNames();
 
 // Prints a standard figure banner.
 void PrintBanner(const std::string& figure, const std::string& caption);

@@ -38,8 +38,8 @@ std::vector<LeverSetting> Settings() {
   };
 }
 
-std::string Row(const std::string& function, RestoreMode mode, const LeverSetting& setting,
-                const InvocationReport& r) {
+std::string Row(const std::string& function, const std::string& system,
+                const LeverSetting& setting, const InvocationReport& r) {
   char buffer[768];
   std::snprintf(
       buffer, sizeof(buffer),
@@ -49,7 +49,7 @@ std::string Row(const std::string& function, RestoreMode mode, const LeverSettin
       "     \"faults\": %llu, \"batch_installs\": %llu, \"batch_installed_pages\": %llu,\n"
       "     \"huge_installs\": %llu, \"huge_installed_pages\": %llu, \"huge_splits\": %llu, "
       "\"coalesced_pages\": %llu}",
-      function.c_str(), RestoreModeName(mode).data(), setting.name, r.total_time().millis(),
+      function.c_str(), system.c_str(), setting.name, r.total_time().millis(),
       r.fetch_time.millis(), r.faults.total_wait_time.millis(),
       r.faults.total_fault_time.millis(),
       static_cast<unsigned long long>(r.faults.total_faults()),
@@ -116,18 +116,20 @@ void Run() {
                "ext_faultpath: lever ablation (off | batch | huge | coalesce | all) for "
                "ffmpeg and image under reap and faasnap (record A / test B), plus a "
                "64-way same-snapshot burst for the coalesce lever\n");
+  // One experiment per lever setting; its cells are (function, system) pairs.
+  const std::vector<LeverSetting> settings = Settings();
+  std::vector<std::vector<ExperimentCell>> by_setting;
+  for (const LeverSetting& setting : settings) {
+    ExperimentConfig config =
+        CellConfig({"ffmpeg", "image"}, {RestoreMode::kReap, RestoreMode::kFaasnap}, "B", 1);
+    config.platform.fault_path = setting.fp;
+    by_setting.push_back(RunCells(config));
+  }
   std::vector<std::string> rows;
-  for (const std::string& function : {std::string("ffmpeg"), std::string("image")}) {
-    for (RestoreMode mode : {RestoreMode::kReap, RestoreMode::kFaasnap}) {
-      for (const LeverSetting& setting : Settings()) {
-        PlatformConfig config;
-        config.fault_path = setting.fp;
-        Experiment experiment(function, config);
-        experiment.Record(MakeInputA(experiment.generator().spec()));
-        InvocationReport r =
-            experiment.Invoke(mode, MakeInputB(experiment.generator().spec()));
-        rows.push_back(Row(function, mode, setting, r));
-      }
+  for (size_t cell = 0; cell < by_setting[0].size(); ++cell) {
+    for (size_t s = 0; s < settings.size(); ++s) {
+      const ExperimentCell& c = by_setting[s][cell];
+      rows.push_back(Row(c.function, c.system, settings[s], c.sample));
     }
   }
   std::vector<std::string> burst;

@@ -25,29 +25,21 @@ void Run() {
   TextTable table({"function", "firecracker", "reap", "faasnap", "faasnap/firecracker"});
   double ratio_sum = 0;
   int count = 0;
-  std::vector<std::string> functions = SyntheticFunctionNames();
-  for (const std::string& f : BenchmarkFunctionNames()) {
-    functions.push_back(f);
-  }
-  for (const std::string& function : functions) {
-    Result<FunctionSpec> spec = FindFunction(function);
-    FAASNAP_CHECK_OK(spec.status());
-    auto test_input = spec->fixed_input ? MakeInputA(*spec) : MakeInputB(*spec);
-    double cells[3];
-    int i = 0;
-    for (RestoreMode mode :
-         {RestoreMode::kFirecracker, RestoreMode::kReap, RestoreMode::kFaasnap}) {
-      PlatformConfig config;
-      Experiment experiment(function, config);
-      experiment.Record(MakeInputA(*spec));
-      InvocationReport r = experiment.Invoke(mode, test_input);
-      cells[i++] = Mb((r.anon_resident_pages + r.page_cache_pages).value());
+  // Test input B is input A for the fixed-input synthetic functions.
+  const std::vector<ExperimentCell> cells = RunCells(CellConfig(
+      AllFunctionNames(), {RestoreMode::kFirecracker, RestoreMode::kReap, RestoreMode::kFaasnap},
+      "B", 1));
+  for (size_t i = 0; i < cells.size(); i += 3) {
+    double mb[3];
+    for (int k = 0; k < 3; ++k) {
+      const InvocationReport& r = cells[i + k].sample;
+      mb[k] = Mb((r.anon_resident_pages + r.page_cache_pages).value());
     }
-    const double ratio = cells[2] / cells[0];
+    const double ratio = mb[2] / mb[0];
     ratio_sum += ratio;
     ++count;
-    table.AddRow({function, FormatCell("%.1f", cells[0]), FormatCell("%.1f", cells[1]),
-                  FormatCell("%.1f", cells[2]), FormatCell("%.2fx", ratio)});
+    table.AddRow({cells[i].function, FormatCell("%.1f", mb[0]), FormatCell("%.1f", mb[1]),
+                  FormatCell("%.1f", mb[2]), FormatCell("%.2fx", ratio)});
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("average faasnap/firecracker footprint ratio: %.2fx (paper: ~1.06x, and\n"

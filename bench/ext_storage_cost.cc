@@ -29,10 +29,9 @@ void Run() {
   double sanitized_total = 0;
   double hybrid_total = 0;
   for (const FunctionSpec& spec : FunctionCatalog()) {
-    PlatformConfig config;
-    Experiment experiment(spec.name, config);
-    experiment.Record(MakeInputA(spec));
-    const FunctionSnapshot& snap = experiment.snapshot();
+    Platform platform;
+    const FunctionSnapshot snap =
+        platform.Record(TraceGenerator(spec, platform.config().layout), MakeInputA(spec));
     const double vanilla = Mb(snap.memory_vanilla.nonzero.page_count());
     const double sanitized = Mb(snap.memory_sanitized.nonzero.page_count());
     const double reap_ws = Mb(snap.reap_ws.size_pages().value());

@@ -42,29 +42,29 @@ void Run(int reps) {
   PrintBanner("Extension: tiered snapshot storage (section 7.2)",
               "total time (ms): all-local vs hybrid (loading set local) vs all-remote");
 
-  const std::vector<std::string> functions = {"hello-world", "json", "image", "ffmpeg",
-                                              "recognition"};
-  for (RestoreMode mode :
-       {RestoreMode::kFaasnap, RestoreMode::kReap, RestoreMode::kFirecracker}) {
+  const std::vector<RestoreMode> systems = {RestoreMode::kFaasnap, RestoreMode::kReap,
+                                            RestoreMode::kFirecracker};
+  // Cells per placement, function by function; test input B is input A for
+  // the fixed-input hello-world.
+  std::vector<std::vector<ExperimentCell>> by_placement;
+  for (const char* placement : {"all-local", "hybrid", "all-remote"}) {
+    ExperimentConfig config = CellConfig(
+        {"hello-world", "json", "image", "ffmpeg", "recognition"}, systems, "B", reps);
+    config.platform = MakeConfig(placement);
+    by_placement.push_back(RunCells(config));
+  }
+  for (size_t s = 0; s < systems.size(); ++s) {
     TextTable table({"function", "all-local", "hybrid", "all-remote", "hybrid penalty"});
-    for (const std::string& function : functions) {
-      Result<FunctionSpec> spec = FindFunction(function);
-      FAASNAP_CHECK_OK(spec.status());
-      auto test_input = spec->fixed_input
-                            ? std::function<WorkloadInput(const FunctionSpec&)>(MakeInputA)
-                            : std::function<WorkloadInput(const FunctionSpec&)>(MakeInputB);
+    for (size_t i = s; i < by_placement[0].size(); i += systems.size()) {
       double cells[3];
-      const char* placements[3] = {"all-local", "hybrid", "all-remote"};
-      for (int i = 0; i < 3; ++i) {
-        CellStats stats = MeasureCell(function, mode, MakeInputA, test_input,
-                                      MakeConfig(placements[i]), reps);
-        cells[i] = stats.mean_ms;
+      for (int p = 0; p < 3; ++p) {
+        cells[p] = by_placement[p][i].total_ms.mean();
       }
-      table.AddRow({function, FormatCell("%.1f", cells[0]), FormatCell("%.1f", cells[1]),
-                    FormatCell("%.1f", cells[2]),
+      table.AddRow({by_placement[0][i].function, FormatCell("%.1f", cells[0]),
+                    FormatCell("%.1f", cells[1]), FormatCell("%.1f", cells[2]),
                     FormatCell("%+.1f%%", 100.0 * (cells[1] - cells[0]) / cells[0])});
     }
-    std::printf("## %s\n%s\n", RestoreModeName(mode).data(), table.ToString().c_str());
+    std::printf("## %s\n%s\n", RestoreModeName(systems[s]).data(), table.ToString().c_str());
   }
   std::printf("Expected: FaaSnap's hybrid stays within a few percent of all-local (cold-set\n"
               "reads are rare), enabling remote storage for the 2 GiB memory files at local\n"

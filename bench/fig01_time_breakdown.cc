@@ -45,11 +45,13 @@ void Run(int reps) {
       for (int rep = 0; rep < reps; ++rep) {
         PlatformConfig c = config;
         c.seed = 1 + static_cast<uint64_t>(rep) * 7919;
-        Experiment experiment(row.function, c);
-        experiment.Record(MakeInputA(experiment.generator().spec()));
-        WorkloadInput test = MakeInputA(experiment.generator().spec());
+        Platform platform(c);
+        TraceGenerator generator(*FindFunction(row.function), c.layout);
+        const FunctionSnapshot snapshot =
+            platform.Record(generator, MakeInputA(generator.spec()));
+        WorkloadInput test = MakeInputA(generator.spec());
         test.content_seed = row.test_seed;
-        InvocationReport report = experiment.Invoke(mode, test);
+        InvocationReport report = platform.Invoke(snapshot, mode, generator, test);
         setup.Record(report.setup_time.millis());
         invoke.Record(report.invocation_time.millis());
       }

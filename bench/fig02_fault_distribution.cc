@@ -17,25 +17,19 @@ namespace {
 void Run() {
   PrintBanner("Figure 2", "page fault handling time distribution, image-diff");
 
-  PlatformConfig config;
-  config.guest.vcpus = 1;
-  BlockDeviceProfile disk = NvmeSsdProfile();
-  disk.jitter = 0.0;
-  config.disk = disk;
+  // image-diff: a different input in the test phase (different content and size).
+  ExperimentConfig config = CellConfig(
+      {"image"},
+      {RestoreMode::kWarm, RestoreMode::kFirecracker, RestoreMode::kCached, RestoreMode::kReap},
+      "B", 1);
+  config.platform.guest.vcpus = 1;
+  config.platform.disk.jitter = 0.0;
 
-  const std::vector<RestoreMode> systems = {RestoreMode::kWarm, RestoreMode::kFirecracker,
-                                            RestoreMode::kCached, RestoreMode::kReap};
   TextTable summary(
       {"system", "faults", "avg fault (us)", "total PF time (ms)", ">=32us share"});
-  for (RestoreMode mode : systems) {
-    Experiment experiment("image", config);
-    experiment.Record(MakeInputA(experiment.generator().spec()));
-    // image-diff: a different input in the test phase (different content and size).
-    InvocationReport report =
-        experiment.Invoke(mode, MakeInputB(experiment.generator().spec()));
-
-    const Log2Histogram& h = report.faults.latency_histogram;
-    std::printf("--- %s ---\n%s\n", RestoreModeName(mode).data(), h.ToString().c_str());
+  for (const ExperimentCell& cell : RunCells(config)) {
+    const Log2Histogram& h = cell.sample.faults.latency_histogram;
+    std::printf("--- %s ---\n%s\n", cell.system.c_str(), h.ToString().c_str());
 
     int64_t slow = 0;
     for (int i = 0; i < h.num_buckets(); ++i) {
@@ -43,7 +37,7 @@ void Run() {
         slow += h.bucket_count(i);
       }
     }
-    summary.AddRow({std::string(RestoreModeName(mode)), FormatCell("%lld", h.total_count()),
+    summary.AddRow({cell.system, FormatCell("%lld", h.total_count()),
                     FormatCell("%.1f", h.mean().micros()),
                     FormatCell("%.1f", h.total_time().millis()),
                     FormatCell("%.1f%%", h.total_count() == 0

@@ -8,18 +8,14 @@
 
 #include <cstdio>
 
-#include <map>
-
 #include "bench/bench_util.h"
 
 namespace faasnap {
 namespace bench {
 namespace {
 
-void RunDirection(const std::string& title,
-                  const std::function<WorkloadInput(const FunctionSpec&)>& record_input,
-                  const std::function<WorkloadInput(const FunctionSpec&)>& test_input,
-                  int reps) {
+void RunDirection(const std::string& title, const std::string& record_input,
+                  const std::string& test_input, int reps) {
   std::printf("## %s\n\n", title.c_str());
   TextTable table({"function", "firecracker", "reap", "faasnap", "cached",
                    "fc/faasnap", "reap/faasnap", "faasnap/cached"});
@@ -27,23 +23,25 @@ void RunDirection(const std::string& title,
   double reap_ratio_sum = 0;
   double cached_ratio_sum = 0;
   int count = 0;
-  for (const std::string& function : BenchmarkFunctionNames()) {
-    std::map<RestoreMode, CellStats> cells;
-    for (RestoreMode mode : PaperSystems()) {
-      cells[mode] =
-          MeasureCell(function, mode, record_input, test_input, PlatformConfig{}, reps);
-    }
-    const double faasnap = cells[RestoreMode::kFaasnap].mean_ms;
-    const double fc_ratio = cells[RestoreMode::kFirecracker].mean_ms / faasnap;
-    const double reap_ratio = cells[RestoreMode::kReap].mean_ms / faasnap;
-    const double cached_ratio = faasnap / cells[RestoreMode::kCached].mean_ms;
+  ExperimentConfig config =
+      CellConfig(BenchmarkFunctionNames(), PaperSystems(), test_input, reps);
+  config.record_input = *ParseTestInput(record_input);
+  const std::vector<ExperimentCell> cells = RunCells(config);
+  // Cells come function by function, systems in PaperSystems() order.
+  for (size_t i = 0; i < cells.size(); i += 4) {
+    const RunningStats& fc = cells[i].total_ms;
+    const RunningStats& reap = cells[i + 1].total_ms;
+    const RunningStats& faasnap = cells[i + 2].total_ms;
+    const RunningStats& cached = cells[i + 3].total_ms;
+    const double fc_ratio = fc.mean() / faasnap.mean();
+    const double reap_ratio = reap.mean() / faasnap.mean();
+    const double cached_ratio = faasnap.mean() / cached.mean();
     fc_ratio_sum += fc_ratio;
     reap_ratio_sum += reap_ratio;
     cached_ratio_sum += cached_ratio;
     ++count;
-    table.AddRow({function, StatCell(cells[RestoreMode::kFirecracker]),
-                  StatCell(cells[RestoreMode::kReap]), StatCell(cells[RestoreMode::kFaasnap]),
-                  StatCell(cells[RestoreMode::kCached]), FormatCell("%.2fx", fc_ratio),
+    table.AddRow({cells[i].function, StatCell(fc), StatCell(reap), StatCell(faasnap),
+                  StatCell(cached), FormatCell("%.2fx", fc_ratio),
                   FormatCell("%.2fx", reap_ratio), FormatCell("%.2fx", cached_ratio)});
   }
   std::printf("%s\n", table.ToString().c_str());
@@ -54,8 +52,8 @@ void RunDirection(const std::string& title,
 
 void Run(int reps) {
   PrintBanner("Figure 6", "execution time of the benchmark functions (ms)");
-  RunDirection("record phase input A, test phase input B", MakeInputA, MakeInputB, reps);
-  RunDirection("record phase input B, test phase input A", MakeInputB, MakeInputA, reps);
+  RunDirection("record phase input A, test phase input B", "A", "B", reps);
+  RunDirection("record phase input B, test phase input A", "B", "A", reps);
   std::printf("Paper anchors: FaaSnap improves on Firecracker ~2.0x and on REAP ~1.4x on\n"
               "average (1.55x when testing with the larger input B, 1.16x with A); FaaSnap\n"
               "averages within a few percent of Cached.\n");

@@ -19,14 +19,12 @@ void Run(int reps) {
   PrintBanner("Figure 7", "execution time of the three synthetic functions (ms)");
 
   TextTable table({"function", "firecracker", "reap", "faasnap", "cached"});
-  for (const std::string& function : SyntheticFunctionNames()) {
-    std::vector<std::string> row = {function};
-    for (RestoreMode mode : PaperSystems()) {
-      CellStats stats = MeasureCell(function, mode, MakeInputA, MakeInputA, PlatformConfig{},
-                                    reps);
-      row.push_back(StatCell(stats));
-    }
-    table.AddRow(std::move(row));
+  const std::vector<ExperimentCell> cells =
+      RunCells(CellConfig(SyntheticFunctionNames(), PaperSystems(), "A", reps));
+  for (size_t i = 0; i < cells.size(); i += 4) {
+    table.AddRow({cells[i].function, StatCell(cells[i].total_ms),
+                  StatCell(cells[i + 1].total_ms), StatCell(cells[i + 2].total_ms),
+                  StatCell(cells[i + 3].total_ms)});
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("Expected shape (paper): hello-world ~189/70/70/67; FaaSnap beats REAP and\n"

@@ -8,8 +8,6 @@
 
 #include <cstdio>
 
-#include <map>
-
 #include "bench/bench_util.h"
 
 namespace faasnap {
@@ -19,39 +17,24 @@ namespace {
 void Run(int reps) {
   PrintBanner("Figure 8", "execution time under varying input size ratios (ms)");
 
-  const std::vector<double> ratios = {0.25, 0.5, 1.0, 2.0, 4.0};
-  const std::vector<RestoreMode> systems = PaperSystems();
-
-  for (const std::string& function : BenchmarkFunctionNames()) {
+  // Ratio inputs get fresh content per rep: the paper's test inputs differ
+  // entirely from the record input.
+  ExperimentConfig config = CellConfig(BenchmarkFunctionNames(), PaperSystems(), "1x", reps);
+  config.test_inputs.clear();
+  for (const char* ratio : {"0.25x", "0.5x", "1x", "2x", "4x"}) {
+    config.test_inputs.push_back(*ParseTestInput(ratio));
+  }
+  const std::vector<ExperimentCell> cells = RunCells(config);
+  // Cells come function by function, then ratio by ratio, then system by system.
+  const size_t per_function = 4 * config.test_inputs.size();
+  for (size_t f = 0; f < cells.size(); f += per_function) {
     TextTable table({"ratio", "firecracker", "reap", "faasnap", "cached"});
-    std::map<RestoreMode, std::map<double, RunningStats>> cells;
-    for (int rep = 0; rep < reps; ++rep) {
-      PlatformConfig config;
-      config.seed = 1 + static_cast<uint64_t>(rep) * 7919;
-      Experiment experiment(function, config);
-      experiment.Record(MakeInputA(experiment.generator().spec()));
-      for (double ratio : ratios) {
-        // Different content per (rep, ratio): the paper's test inputs differ
-        // entirely from the record input.
-        const uint64_t content_seed = 0xC0FFEE + static_cast<uint64_t>(ratio * 16) +
-                                      static_cast<uint64_t>(rep) * 1315423911ull;
-        const WorkloadInput input =
-            MakeScaledInput(experiment.generator().spec(), ratio, content_seed);
-        for (RestoreMode mode : systems) {
-          InvocationReport report = experiment.Invoke(mode, input);
-          cells[mode][ratio].Record(report.total_time().millis());
-        }
-      }
+    for (size_t i = f; i < f + per_function; i += 4) {
+      table.AddRow({FormatCell("%.2f", config.test_inputs[(i - f) / 4].ratio),
+                    StatCell(cells[i].total_ms), StatCell(cells[i + 1].total_ms),
+                    StatCell(cells[i + 2].total_ms), StatCell(cells[i + 3].total_ms)});
     }
-    for (double ratio : ratios) {
-      std::vector<std::string> row = {FormatCell("%.2f", ratio)};
-      for (RestoreMode mode : systems) {
-        const RunningStats& stats = cells[mode][ratio];
-        row.push_back(FormatCell("%.1f +- %.1f", stats.mean(), stats.stddev()));
-      }
-      table.AddRow(std::move(row));
-    }
-    std::printf("## %s\n%s\n", function.c_str(), table.ToString().c_str());
+    std::printf("## %s\n%s\n", cells[f].function.c_str(), table.ToString().c_str());
   }
   std::printf("Paper anchors: FaaSnap overlaps Cached at every ratio; REAP's curve is\n"
               "steeper than all others for ratio > 1 (worse than Firecracker for\n"

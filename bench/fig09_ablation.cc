@@ -23,12 +23,9 @@ void RunFunction(const std::string& function) {
 
   TextTable table({"step", "invocation (ms)", "major faults", "waits on loader",
                    "PF time (ms)", "block requests", "loader fetch (ms)"});
-  for (RestoreMode mode : steps) {
-    PlatformConfig config;
-    Experiment experiment(function, config);
-    experiment.Record(MakeInputA(experiment.generator().spec()));
-    InvocationReport r = experiment.Invoke(mode, MakeInputB(experiment.generator().spec()));
-    table.AddRow({std::string(RestoreModeName(mode)),
+  for (const ExperimentCell& cell : RunCells(CellConfig({function}, steps, "B", 1))) {
+    const InvocationReport& r = cell.sample;
+    table.AddRow({cell.system,
                   FormatCell("%.0f", r.invocation_time.millis()),
                   FormatCell("%lld", static_cast<long long>(r.faults.major_faults())),
                   FormatCell("%lld",

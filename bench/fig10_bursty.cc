@@ -81,7 +81,9 @@ void Run(int reps) {
                   same ? "same snapshot" : "different snapshots", table.ToString().c_str());
     }
   }
-  std::printf("Paper shape: FaaSnap < REAP everywhere (REAP bypasses the page cache);\n"
+  std::printf("Paper shape: FaaSnap < REAP everywhere (REAP bypasses the page cache).\n"
+              "Here FaaSnap < REAP in every cell but hello-world with different snapshots\n"
+              "at 16- and 64-way, where REAP's one batched read per VM wins (deviation D7).\n"
               "Firecracker catches up at same-snapshot 64-way (guests warm the cache for\n"
               "each other) but collapses with different snapshots; everyone slows at 64\n"
               "as 128 vCPUs oversubscribe 96 cores.\n");

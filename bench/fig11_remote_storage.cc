@@ -11,8 +11,6 @@
 
 #include <cstdio>
 
-#include <map>
-
 #include "bench/bench_util.h"
 
 namespace faasnap {
@@ -22,40 +20,30 @@ namespace {
 void Run(int reps) {
   PrintBanner("Figure 11", "execution time with snapshots on remote storage (ms)");
 
-  PlatformConfig ebs_config;
-  ebs_config.disk = EbsIo2Profile();
+  // Test input B is input A for the fixed-input synthetic functions.
+  ExperimentConfig ebs = CellConfig(
+      AllFunctionNames(),
+      {RestoreMode::kFirecracker, RestoreMode::kReap, RestoreMode::kFaasnap}, "B", reps);
+  ebs.platform.disk = EbsIo2Profile();
+  const std::vector<ExperimentCell> cells = RunCells(ebs);
+  const std::vector<ExperimentCell> local =
+      RunCells(CellConfig(AllFunctionNames(), {RestoreMode::kFaasnap}, "B", reps));
 
   TextTable table({"function", "firecracker", "reap", "faasnap", "faasnap (local nvme)"});
   double fc_sum = 0;
   double reap_sum = 0;
   double local_sum = 0;
   int count = 0;
-  std::vector<std::string> functions = SyntheticFunctionNames();
-  for (const std::string& f : BenchmarkFunctionNames()) {
-    functions.push_back(f);
-  }
-  for (const std::string& function : functions) {
-    Result<FunctionSpec> spec = FindFunction(function);
-    FAASNAP_CHECK_OK(spec.status());
-    auto test_input = spec->fixed_input
-                          ? std::function<WorkloadInput(const FunctionSpec&)>(MakeInputA)
-                          : std::function<WorkloadInput(const FunctionSpec&)>(MakeInputB);
-    std::map<RestoreMode, CellStats> cells;
-    for (RestoreMode mode :
-         {RestoreMode::kFirecracker, RestoreMode::kReap, RestoreMode::kFaasnap}) {
-      cells[mode] = MeasureCell(function, mode, MakeInputA, test_input, ebs_config, reps);
-    }
-    CellStats local =
-        MeasureCell(function, RestoreMode::kFaasnap, MakeInputA, test_input, PlatformConfig{},
-                    reps);
-    const double faasnap = cells[RestoreMode::kFaasnap].mean_ms;
-    fc_sum += cells[RestoreMode::kFirecracker].mean_ms / faasnap;
-    reap_sum += cells[RestoreMode::kReap].mean_ms / faasnap;
-    local_sum += faasnap / local.mean_ms;
+  for (size_t i = 0; i < local.size(); ++i) {
+    const RunningStats& fc = cells[3 * i].total_ms;
+    const RunningStats& reap = cells[3 * i + 1].total_ms;
+    const RunningStats& faasnap = cells[3 * i + 2].total_ms;
+    fc_sum += fc.mean() / faasnap.mean();
+    reap_sum += reap.mean() / faasnap.mean();
+    local_sum += faasnap.mean() / local[i].total_ms.mean();
     ++count;
-    table.AddRow({function, StatCell(cells[RestoreMode::kFirecracker]),
-                  StatCell(cells[RestoreMode::kReap]), StatCell(cells[RestoreMode::kFaasnap]),
-                  StatCell(local)});
+    table.AddRow({local[i].function, StatCell(fc), StatCell(reap), StatCell(faasnap),
+                  StatCell(local[i].total_ms)});
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("averages on EBS: firecracker/faasnap = %.2fx, reap/faasnap = %.2fx,\n"

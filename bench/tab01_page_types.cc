@@ -25,10 +25,9 @@ void Run() {
   TextTable table({"function", "loading set -> ls file", "cold set -> memory file",
                    "released set -> anon", "unused set -> anon"});
   for (const FunctionSpec& spec : FunctionCatalog()) {
-    PlatformConfig config;
-    Experiment experiment(spec.name, config);
-    experiment.Record(MakeInputA(spec));
-    const FunctionSnapshot& snap = experiment.snapshot();
+    Platform platform;
+    const FunctionSnapshot snap =
+        platform.Record(TraceGenerator(spec, platform.config().layout), MakeInputA(spec));
 
     const PageRangeSet ws = snap.ws_groups.AllPages();
     const PageRangeSet& nonzero = snap.memory_sanitized.nonzero;

@@ -19,10 +19,9 @@ void Run() {
   TextTable table({"function", "description", "spec WS A (MB)", "spec WS B (MB)",
                    "recorded WS A (MB)", "REAP WS A (MB)", "loading set A (MB)"});
   for (const FunctionSpec& spec : FunctionCatalog()) {
-    PlatformConfig config;
-    Experiment experiment(spec.name, config);
-    experiment.Record(MakeInputA(spec));
-    const FunctionSnapshot& snap = experiment.snapshot();
+    Platform platform;
+    const FunctionSnapshot snap =
+        platform.Record(TraceGenerator(spec, platform.config().layout), MakeInputA(spec));
     table.AddRow({spec.name, spec.description,
                   FormatCell("%.1f", Mb(spec.WorkingSetPages(spec.input_a).value())),
                   FormatCell("%.1f", Mb(spec.WorkingSetPages(spec.input_b).value())),

@@ -20,19 +20,15 @@ void Run() {
 
   TextTable table({"system, function", "total (ms)", "fetch time (ms)", "fetch size (MB)",
                    "guest pagefault size (MB)", "PF waiting time (ms)"});
-  for (const std::string& function : {std::string("ffmpeg"), std::string("image")}) {
-    for (RestoreMode mode : {RestoreMode::kReap, RestoreMode::kFaasnap}) {
-      PlatformConfig config;
-      Experiment experiment(function, config);
-      experiment.Record(MakeInputA(experiment.generator().spec()));
-      InvocationReport r = experiment.Invoke(mode, MakeInputB(experiment.generator().spec()));
-      table.AddRow({FormatCell("%s, %s", RestoreModeName(mode).data(), function.c_str()),
-                    FormatCell("%.0f", r.total_time().millis()),
-                    FormatCell("%.0f", r.fetch_time.millis()),
-                    FormatCell("%.0f", static_cast<double>(r.fetch_bytes.value()) / 1e6),
-                    FormatCell("%.1f", static_cast<double>(r.guest_pagefault_bytes.value()) / 1e6),
-                    FormatCell("%.0f", r.faults.total_wait_time.millis())});
-    }
+  for (const ExperimentCell& cell : RunCells(CellConfig(
+           {"ffmpeg", "image"}, {RestoreMode::kReap, RestoreMode::kFaasnap}, "B", 1))) {
+    const InvocationReport& r = cell.sample;
+    table.AddRow({FormatCell("%s, %s", cell.system.c_str(), cell.function.c_str()),
+                  FormatCell("%.0f", r.total_time().millis()),
+                  FormatCell("%.0f", r.fetch_time.millis()),
+                  FormatCell("%.0f", static_cast<double>(r.fetch_bytes.value()) / 1e6),
+                  FormatCell("%.1f", static_cast<double>(r.guest_pagefault_bytes.value()) / 1e6),
+                  FormatCell("%.0f", r.faults.total_wait_time.millis())});
   }
   std::printf("%s\n", table.ToString().c_str());
   std::printf("Paper anchors: REAP/ffmpeg 1408 total, 257 fetch, 201M fetched; FaaSnap/\n"

@@ -1,4 +1,6 @@
-// faasnap_cli: command-line driver for ad-hoc experiments on the public API.
+// faasnap_cli: command-line front end for ad-hoc experiments. Its flags become
+// an ExperimentConfig run by RunExperiment, the engine behind artifact_runner
+// and the figure benches.
 //
 // Usage:
 //   faasnap_cli [--function NAME] [--mode MODE[,MODE...]] [--test-input A|B]
@@ -19,9 +21,11 @@
 #include <string>
 #include <vector>
 
-#include "src/runtime/platform.h"
+#include "src/daemon/experiment_runner.h"
 #include "src/metrics/json_writer.h"
 #include "src/metrics/table.h"
+#include "src/storage/device_profiles.h"
+#include "src/workloads/function_spec.h"
 
 using namespace faasnap;
 
@@ -147,92 +151,67 @@ void PrintCatalog() {
   std::printf("%s", table.ToString().c_str());
 }
 
+// Converts the flags into an in-code experiment config and runs it: record
+// with input A, then per mode and rep a fresh platform runs one burst of
+// `parallelism` invocations, exactly like `artifact_runner`.
+Result<ExperimentResults> RunFlags(const CliOptions& options) {
+  ExperimentConfig config;
+  config.name = "faasnap_cli";
+  config.functions = {options.function};
+  config.systems.clear();
+  for (const std::string& mode_name : options.modes) {
+    ASSIGN_OR_RETURN(RestoreMode mode, ParseRestoreMode(mode_name));
+    config.systems.push_back(mode);
+  }
+  if (options.ratio > 0) {
+    config.test_inputs = {TestInputSpec{TestInputSpec::Kind::kRatio, options.ratio,
+                                        FormatCell("%gx", options.ratio)}};
+  } else {
+    ASSIGN_OR_RETURN(TestInputSpec input, ParseTestInput(options.test_input));
+    config.test_inputs = {input};
+  }
+  config.reps = options.reps;
+  config.parallelism = options.parallelism;
+  config.admission = AdmitWholeBurst(options.parallelism);
+  config.base_seed = options.seed;
+  if (options.device == "ebs") {
+    config.platform.disk = EbsIo2Profile();
+  }
+  return RunExperiment(config);
+}
+
 int RunCli(const CliOptions& options) {
-  Result<FunctionSpec> spec = FindFunction(options.function);
-  if (!spec.ok()) {
-    std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
+  Result<ExperimentResults> results = RunFlags(options);
+  if (!results.ok()) {
+    std::fprintf(stderr, "%s\n", results.status().ToString().c_str());
     return 1;
   }
+  if (options.json) {
+    // The last invocation of each mode, one JSON object per line.
+    for (const ExperimentCell& cell : results->cells) {
+      std::printf("%s\n", InvocationReportToJson(cell.sample).c_str());
+    }
+    return 0;
+  }
 
+  // total/setup/invoke cover every invocation of every rep; the fault and IO
+  // columns come from the mode's last invocation.
   TextTable table({"mode", "total (ms)", "setup (ms)", "invoke (ms)", "majors", "uffd",
                    "fetch (MB)", "disk reads"});
-  for (const std::string& mode_name : options.modes) {
-    Result<RestoreMode> mode = ParseRestoreMode(mode_name);
-    if (!mode.ok()) {
-      std::fprintf(stderr, "%s\n", mode.status().ToString().c_str());
-      return 1;
-    }
-    RunningStats total;
-    InvocationReport last;
-    for (int rep = 0; rep < options.reps; ++rep) {
-      PlatformConfig config;
-      if (options.device == "ebs") {
-        config.disk = EbsIo2Profile();
-      }
-      config.seed = options.seed + static_cast<uint64_t>(rep) * 7919;
-      Platform platform(config);
-      TraceGenerator generator(*spec, config.layout);
-      FunctionSnapshot snapshot = platform.Record(generator, MakeInputA(*spec));
-      // Open every artifact through the validating API before restoring from
-      // it; a checksum mismatch exits with the status instead of crashing
-      // somewhere down the restore path.
-      for (const char* suffix : {".mem", ".smem", ".reapws", ".lset"}) {
-        Result<FileId> artifact = platform.store()->Open(options.function + suffix);
-        if (!artifact.ok()) {
-          std::fprintf(stderr, "snapshot artifact %s%s: %s\n", options.function.c_str(),
-                       suffix, artifact.status().ToString().c_str());
-          return 1;
-        }
-      }
-      platform.DropCaches();
-
-      WorkloadInput input =
-          options.ratio > 0
-              ? MakeScaledInput(*spec, options.ratio, 0xC11 + static_cast<uint64_t>(rep))
-              : (options.test_input == "A" ? MakeInputA(*spec) : MakeInputB(*spec));
-      if (options.parallelism == 1) {
-        last = platform.Invoke(snapshot, *mode, generator, input);
-        if (options.json) {
-          std::printf("%s\n", InvocationReportToJson(last).c_str());
-        }
-        total.Record(last.total_time().millis());
-      } else {
-        double sum = 0;
-        int completed = 0;
-        for (int i = 0; i < options.parallelism; ++i) {
-          WorkloadInput per = input;
-          if (!spec->fixed_input) {
-            per.content_seed += static_cast<uint64_t>(i) + 1;
-          }
-          platform.InvokeAsync(snapshot, *mode, generator.Generate(per),
-                               [&](InvocationReport report) {
-                                 sum += report.total_time().millis();
-                                 last = std::move(report);
-                                 ++completed;
-                               });
-        }
-        platform.sim()->Run();
-        FAASNAP_CHECK(completed == options.parallelism);
-        total.Record(sum / options.parallelism);
-      }
-    }
-    table.AddRow({mode_name,
-                  FormatCell("%.1f +- %.1f", total.mean(), total.stddev()),
-                  FormatCell("%.1f", last.setup_time.millis()),
-                  FormatCell("%.1f", last.invocation_time.millis()),
+  for (const ExperimentCell& cell : results->cells) {
+    const InvocationReport& last = cell.sample;
+    table.AddRow({cell.system,
+                  FormatCell("%.1f +- %.1f", cell.total_ms.mean(), cell.total_ms.stddev()),
+                  FormatCell("%.1f", cell.setup_ms.mean()),
+                  FormatCell("%.1f", cell.invocation_ms.mean()),
                   FormatCell("%lld", static_cast<long long>(last.faults.major_faults())),
                   FormatCell("%lld",
                              static_cast<long long>(last.faults.count(FaultClass::kUffdHandled))),
                   FormatCell("%.1f", static_cast<double>(last.fetch_bytes.value()) / 1e6),
                   FormatCell("%llu", static_cast<unsigned long long>(last.disk.read_requests))});
   }
-  if (options.json) {
-    return 0;  // reports already emitted, one JSON object per line
-  }
-  std::printf("function: %s, test input: %s%s, device: %s, parallelism: %d, reps: %d\n\n",
-              options.function.c_str(),
-              options.ratio > 0 ? "ratio " : options.test_input.c_str(),
-              options.ratio > 0 ? FormatCell("%.2g", options.ratio).c_str() : "",
+  std::printf("function: %s, test input: %s, device: %s, parallelism: %d, reps: %d\n\n",
+              options.function.c_str(), results->cells[0].test_input.c_str(),
               options.device.c_str(), options.parallelism, options.reps);
   std::printf("%s", table.ToString().c_str());
   return 0;

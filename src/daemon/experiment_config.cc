@@ -8,9 +8,7 @@
 
 namespace faasnap {
 
-namespace {
-
-Result<TestInputSpec> InputFromString(const std::string& text) {
+Result<TestInputSpec> ParseTestInput(const std::string& text) {
   TestInputSpec spec;
   spec.label = text;
   if (text == "A" || text == "a") {
@@ -35,7 +33,13 @@ Result<TestInputSpec> InputFromString(const std::string& text) {
   return InvalidArgumentError("unknown input spec: " + text + " (use A, B, or e.g. 2x)");
 }
 
-}  // namespace
+AdmissionConfig AdmitWholeBurst(int parallelism) {
+  AdmissionConfig admission;
+  admission.max_concurrency = parallelism;
+  admission.queue_capacity = 0;
+  admission.queue_deadline = Duration::Zero();
+  return admission;
+}
 
 Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
   if (!root.is_object()) {
@@ -68,7 +72,7 @@ Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
   }
 
   ASSIGN_OR_RETURN(config.record_input,
-                   InputFromString(root.GetStringOr("record_input", "A")));
+                   ParseTestInput(root.GetStringOr("record_input", "A")));
   if (root.Has("test_inputs")) {
     ASSIGN_OR_RETURN(JsonValue inputs, root.Get("test_inputs"));
     if (!inputs.is_array() || inputs.array().empty()) {
@@ -76,11 +80,11 @@ Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
     }
     for (const JsonValue& i : inputs.array()) {
       ASSIGN_OR_RETURN(std::string text, i.AsString());
-      ASSIGN_OR_RETURN(TestInputSpec spec, InputFromString(text));
+      ASSIGN_OR_RETURN(TestInputSpec spec, ParseTestInput(text));
       config.test_inputs.push_back(spec);
     }
   } else {
-    ASSIGN_OR_RETURN(TestInputSpec spec, InputFromString("B"));
+    ASSIGN_OR_RETURN(TestInputSpec spec, ParseTestInput("B"));
     config.test_inputs.push_back(spec);
   }
 
@@ -101,15 +105,21 @@ Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
     }
     config.forensics = forensics.GetBoolOr("enabled", true);
     ForensicsConfig& fc = config.forensics_config;
-    fc.slowest_k = static_cast<size_t>(
-        forensics.GetIntOr("slowest_k", static_cast<int64_t>(fc.slowest_k)));
-    fc.max_non_ok = static_cast<size_t>(
-        forensics.GetIntOr("max_non_ok", static_cast<int64_t>(fc.max_non_ok)));
-    fc.buffer_capacity = static_cast<size_t>(forensics.GetIntOr(
-        "buffer_capacity", static_cast<int64_t>(fc.buffer_capacity)));
-    if (fc.buffer_capacity == 0) {
+    const int64_t slowest_k =
+        forensics.GetIntOr("slowest_k", static_cast<int64_t>(fc.slowest_k));
+    const int64_t max_non_ok =
+        forensics.GetIntOr("max_non_ok", static_cast<int64_t>(fc.max_non_ok));
+    const int64_t buffer_capacity =
+        forensics.GetIntOr("buffer_capacity", static_cast<int64_t>(fc.buffer_capacity));
+    if (slowest_k < 0 || max_non_ok < 0) {
+      return InvalidArgumentError("forensics.slowest_k and max_non_ok must be >= 0");
+    }
+    if (buffer_capacity < 1) {
       return InvalidArgumentError("forensics.buffer_capacity must be > 0");
     }
+    fc.slowest_k = static_cast<size_t>(slowest_k);
+    fc.max_non_ok = static_cast<size_t>(max_non_ok);
+    fc.buffer_capacity = static_cast<size_t>(buffer_capacity);
   }
 
   config.reps = static_cast<int>(root.GetIntOr("reps", config.reps));
@@ -125,9 +135,13 @@ Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
   } else if (device != "nvme") {
     return InvalidArgumentError("device must be nvme or ebs");
   }
-  config.platform.host_cores = static_cast<int>(root.GetIntOr("host_cores", 96));
-  config.platform.ws_group_size =
-      static_cast<uint64_t>(root.GetIntOr("ws_group_size", 1024));
+  const int64_t host_cores = root.GetIntOr("host_cores", 96);
+  const int64_t ws_group_size = root.GetIntOr("ws_group_size", 1024);
+  if (host_cores < 1 || ws_group_size < 1) {
+    return InvalidArgumentError("host_cores and ws_group_size must be >= 1");
+  }
+  config.platform.host_cores = static_cast<int>(host_cores);
+  config.platform.ws_group_size = static_cast<uint64_t>(ws_group_size);
   config.platform.loading_set.merge_gap_pages =
       root.GetPageCountOr("merge_gap_pages", PageCount::FromPages(32));
   config.platform.seed = config.base_seed;
@@ -220,10 +234,7 @@ Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root) {
     }
     RETURN_IF_ERROR(ParseAdmissionConfig(admission, &config.admission));
   } else {
-    // No limits: the whole burst is admitted at once.
-    config.admission.max_concurrency = config.parallelism;
-    config.admission.queue_capacity = 0;
-    config.admission.queue_deadline = Duration::Zero();
+    config.admission = AdmitWholeBurst(config.parallelism);
   }
 
   if (root.Has("chaos")) {

@@ -89,12 +89,15 @@ struct TestInputSpec {
   std::string label;  // as written in the config
 };
 
+// Parses "A", "B" or a ratio relative to input A such as "0.5x" or "2x".
+Result<TestInputSpec> ParseTestInput(const std::string& text);
+
 struct ExperimentConfig {
   std::string name = "experiment";
   std::vector<std::string> functions;
   std::vector<RestoreMode> systems = {RestoreMode::kFirecracker, RestoreMode::kReap,
                                       RestoreMode::kFaasnap, RestoreMode::kCached};
-  TestInputSpec record_input;  // defaults to input A
+  TestInputSpec record_input{.kind = TestInputSpec::Kind::kInputA, .label = "A"};
   std::vector<TestInputSpec> test_inputs;
   int reps = 3;
   int parallelism = 1;
@@ -103,13 +106,12 @@ struct ExperimentConfig {
   // Each cell's `parallelism` simultaneous requests are offered to an
   // AdmissionController with these limits; overflow and deadline-expired
   // waiters are shed with typed outcomes (the cell's shed column). Without an
-  // "admission" block the parser sets max_concurrency = parallelism with no
-  // queue, deadline or memory budget, so the whole burst runs at once.
+  // "admission" block the parser sets AdmitWholeBurst(parallelism).
   AdmissionConfig admission;
 
   // Observability outputs; empty = disabled. trace_out receives a Perfetto-
-  // loadable Chrome trace (one track per repetition), metrics_out the metrics
-  // registry snapshot. Both cover the whole experiment.
+  // loadable Chrome trace (one track per function, input, system and rep),
+  // metrics_out the metrics registry snapshot. Both cover the whole experiment.
   std::string trace_out;
   std::string metrics_out;
 
@@ -131,7 +133,12 @@ struct ExperimentConfig {
   PlatformConfig platform;
 };
 
-// Parses a config document. InvalidArgument on unknown functions/systems/inputs.
+// The admission limits of a config without an "admission" block: all
+// `parallelism` requests run at once, with no queue, deadline or memory budget.
+AdmissionConfig AdmitWholeBurst(int parallelism);
+
+// Parses a config document. InvalidArgument on unknown functions/systems/inputs
+// and on out-of-range values.
 Result<ExperimentConfig> ParseExperimentConfig(const JsonValue& root);
 
 // Reads and parses a config file.

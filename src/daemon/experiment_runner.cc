@@ -52,8 +52,8 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
   ExperimentResults results;
   results.name = config.name;
 
-  // One bundle for the whole experiment; each repetition (its own Platform and
-  // t=0) records onto its own trace track (or timeline epoch).
+  // One bundle for the whole experiment; each (system, rep) cell (its own
+  // Platform and t=0) records onto its own trace track (or timeline epoch).
   std::unique_ptr<Observability> obs;
   std::unique_ptr<std::ofstream> timeline_out;
   if (!config.trace_out.empty() || !config.metrics_out.empty() ||
@@ -80,41 +80,38 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
   for (const std::string& function_name : config.functions) {
     ASSIGN_OR_RETURN(FunctionSpec spec, FindFunction(function_name));
     for (const TestInputSpec& input_spec : config.test_inputs) {
-      // One cell per system; repetitions vary the platform seed.
-      std::vector<ExperimentCell> row;
-      for (RestoreMode system : config.systems) {
+      for (size_t s = 0; s < config.systems.size(); ++s) {
+        const RestoreMode system = config.systems[s];
         ExperimentCell cell;
         cell.function = function_name;
         cell.system = std::string(RestoreModeName(system));
         cell.test_input = input_spec.label;
-        row.push_back(std::move(cell));
-      }
-      for (int rep = 0; rep < config.reps; ++rep) {
-        PlatformConfig platform_config = config.platform;
-        platform_config.seed = config.base_seed + static_cast<uint64_t>(rep) * 7919;
-        Platform platform(platform_config);
-        if (obs != nullptr) {
-          char track[160];
-          std::snprintf(track, sizeof(track), "%s input=%s rep=%d", function_name.c_str(),
-                        input_spec.label.c_str(), rep);
-          if (!obs->forensics.enabled()) {
-            // Under forensics the platform records into the recorder's
-            // recycling buffer; the run-wide tracer stays empty (cell spans
-            // aside) and per-rep tracks would never be garbage-collected.
-            obs->spans.BeginTrack(track);
+        // Every (system, rep) gets a fresh platform seeded by the rep alone,
+        // so a cell never depends on which systems the config lists before it.
+        for (int rep = 0; rep < config.reps; ++rep) {
+          PlatformConfig platform_config = config.platform;
+          platform_config.seed = config.base_seed + static_cast<uint64_t>(rep) * 7919;
+          Platform platform(platform_config);
+          if (obs != nullptr) {
+            char track[192];
+            std::snprintf(track, sizeof(track), "%s input=%s system=%s rep=%d",
+                          function_name.c_str(), input_spec.label.c_str(),
+                          cell.system.c_str(), rep);
+            if (!obs->forensics.enabled()) {
+              // Under forensics the platform records into the recorder's
+              // recycling buffer; the run-wide tracer stays empty (cell spans
+              // aside) and per-cell tracks would never be garbage-collected.
+              obs->spans.BeginTrack(track);
+            }
+            obs->timeline.BeginEpoch(track);
+            platform.set_observability(obs.get());
           }
-          obs->timeline.BeginEpoch(track);
-          platform.set_observability(obs.get());
-        }
-        TraceGenerator generator(spec, platform_config.layout);
-        const WorkloadInput record_input =
-            ResolveInput(config.record_input, spec, /*content_seed=*/0xA);
-        FunctionSnapshot snapshot = platform.Record(generator, record_input);
-
-        for (size_t s = 0; s < config.systems.size(); ++s) {
-          platform.DropCaches();
-          const WorkloadInput test_input = ResolveInput(
-              input_spec, spec, 0x7E57 + static_cast<uint64_t>(rep) * 131 + s);
+          TraceGenerator generator(spec, platform_config.layout);
+          // Record drops the caches when it finishes (section 6.1).
+          const FunctionSnapshot snapshot = platform.Record(
+              generator, ResolveInput(config.record_input, spec, /*content_seed=*/0xA));
+          const WorkloadInput test_input =
+              ResolveInput(input_spec, spec, 0x7E57 + static_cast<uint64_t>(rep) * 131);
           // Covers every invocation of this (system, rep) cell; arg0 = system
           // index, so trace tooling can split cells apart.
           const SpanId cell_span =
@@ -129,32 +126,32 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
               PagesToBytes(PageCount::FromPages(snapshot.record_touched.page_count()));
           std::unique_ptr<AdmissionController> admission;
           AdmissionController::Hooks hooks;
-          hooks.run = [&, s](const AdmissionRequest& request, Duration wait) {
+          hooks.run = [&](const AdmissionRequest& request, Duration wait) {
             (void)wait;  // queue time is visible in the report's setup span
             WorkloadInput per = test_input;
             if (!spec.fixed_input) {
               per.content_seed += request.id * 977;
             }
-            platform.InvokeAsync(snapshot, config.systems[s], generator.Generate(per),
-                                 [&, s, request](InvocationReport report) {
-                                   row[s].total_ms.Record(report.total_time().millis());
-                                   row[s].setup_ms.Record(report.setup_time.millis());
-                                   row[s].invocation_ms.Record(report.invocation_time.millis());
-                                   TallyOutcome(&row[s], report);
-                                   row[s].sample = std::move(report);
+            platform.InvokeAsync(snapshot, system, generator.Generate(per),
+                                 [&, request](InvocationReport report) {
+                                   cell.total_ms.Record(report.total_time().millis());
+                                   cell.setup_ms.Record(report.setup_time.millis());
+                                   cell.invocation_ms.Record(report.invocation_time.millis());
+                                   TallyOutcome(&cell, report);
+                                   cell.sample = std::move(report);
                                    ++resolved;
                                    admission->OnComplete(request);
                                  });
           };
-          hooks.shed = [&, s](const AdmissionRequest& request, InvocationOutcome outcome,
-                              Duration wait) {
+          hooks.shed = [&](const AdmissionRequest& request, InvocationOutcome outcome,
+                           Duration wait) {
             (void)wait;  // ReportShed derives the wait from request.arrival
             Status reason = outcome == InvocationOutcome::kShedQueueFull
                                 ? ResourceExhaustedError("admission queue full")
                                 : DeadlineExceededError("queueing deadline exceeded");
             const InvocationReport report = platform.ReportShed(
-                snapshot, config.systems[s], request.arrival, outcome, std::move(reason));
-            TallyOutcome(&row[s], report);
+                snapshot, system, request.arrival, outcome, std::move(reason));
+            TallyOutcome(&cell, report);
             ++resolved;
           };
           admission = std::make_unique<AdmissionController>(platform.sim(), config.admission,
@@ -172,8 +169,6 @@ Result<ExperimentResults> RunExperiment(const ExperimentConfig& config) {
             obs->spans.End(cell_span, platform.sim()->now());
           }
         }
-      }
-      for (ExperimentCell& cell : row) {
         results.cells.push_back(std::move(cell));
       }
     }

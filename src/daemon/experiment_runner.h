@@ -1,10 +1,11 @@
 // ExperimentRunner: executes a parsed ExperimentConfig and renders results —
 // the counterpart of the paper artifact's `test.py` driver (Appendix A.4).
 //
-// For every (function, test input): one platform per repetition, one record
-// phase, then per system a burst of `parallelism` simultaneous test-phase
-// invocations (one by default) offered to an AdmissionController, with caches
-// dropped between systems.
+// Every cell (function, test input, system) runs each repetition on a fresh
+// platform seeded `base_seed + rep * 7919`: one record phase (which drops the
+// caches), then a burst of `parallelism` simultaneous test-phase invocations
+// (one by default) offered to an AdmissionController. A cell's numbers
+// therefore do not depend on which other systems or inputs the config lists.
 
 #ifndef FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
 #define FAASNAP_SRC_DAEMON_EXPERIMENT_RUNNER_H_
@@ -32,7 +33,8 @@ struct ExperimentCell {
   // Arrivals the admission layer rejected or deadline-dropped (both shed
   // outcomes fold into one tally here).
   int64_t shed = 0;
-  // Representative last-rep detail for JSON export.
+  // The full report of the cell's last completed invocation (last rep), for
+  // callers that need fault, IO or memory detail beyond the stats above.
   InvocationReport sample;
 };
 

@@ -98,6 +98,28 @@ TEST(ExperimentConfig, RejectsBadInput) {
   EXPECT_FALSE(Parse(R"({"functions":["json"],"admission":{"enabled":false}})").ok());
 }
 
+TEST(ExperimentConfig, RejectsNegativeForensicsBounds) {
+  // A negative bound must not wrap to a huge size_t and silently lift the cap.
+  for (const char* key : {"slowest_k", "max_non_ok", "buffer_capacity"}) {
+    const std::string text =
+        std::string(R"({"functions": ["json"], "forensics": {")") + key + R"(": -1}})";
+    Result<ExperimentConfig> config = Parse(text);
+    ASSERT_FALSE(config.ok()) << key;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << key;
+  }
+  EXPECT_TRUE(Parse(R"({"functions": ["json"], "forensics": {"slowest_k": 0}})").ok());
+}
+
+TEST(ExperimentConfig, RejectsZeroCoresAndGroupSize) {
+  for (const char* text : {R"({"functions": ["json"], "host_cores": 0})",
+                           R"({"functions": ["json"], "host_cores": -4})",
+                           R"({"functions": ["json"], "ws_group_size": 0})"}) {
+    Result<ExperimentConfig> config = Parse(text);
+    ASSERT_FALSE(config.ok()) << text;
+    EXPECT_EQ(config.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
 TEST(ExperimentConfig, AbsentAdmissionBlockAdmitsTheWholeBurst) {
   Result<ExperimentConfig> config = Parse(R"({"functions": ["json"], "parallelism": 16})");
   ASSERT_TRUE(config.ok()) << config.status().ToString();
@@ -249,6 +271,67 @@ TEST(ExperimentRunner, FaultFreeLeverOffRunRegistersEverySeriesAtZero) {
   }
   EXPECT_EQ(CounterIn(path, "faults.by_class", {{"class", "huge-install"}}), 0);
   EXPECT_EQ(CounterIn(path, "invocations.outcome", {{"outcome", "ok"}}), 2);
+}
+
+// The cell for `system` when the config lists `systems`.
+ExperimentCell CellUnder(const std::string& function, const std::string& test_input,
+                         const std::string& systems, const std::string& system) {
+  Result<ExperimentConfig> config = Parse(R"({"functions": [")" + function +
+                                          R"("], "test_inputs": [")" + test_input +
+                                          R"("], "systems": )" + systems + R"(, "reps": 2})");
+  EXPECT_TRUE(config.ok()) << config.status().ToString();
+  Result<ExperimentResults> results = RunExperiment(*config);
+  EXPECT_TRUE(results.ok()) << results.status().ToString();
+  for (const ExperimentCell& cell : results->cells) {
+    if (cell.system == system) {
+      return cell;
+    }
+  }
+  ADD_FAILURE() << system << " missing from " << systems;
+  return ExperimentCell{};
+}
+
+void ExpectSameCell(const ExperimentCell& a, const ExperimentCell& b) {
+  EXPECT_EQ(a.total_ms.count(), b.total_ms.count());
+  EXPECT_EQ(a.total_ms.mean(), b.total_ms.mean());
+  EXPECT_EQ(a.total_ms.stddev(), b.total_ms.stddev());
+  EXPECT_EQ(a.setup_ms.mean(), b.setup_ms.mean());
+  EXPECT_EQ(a.invocation_ms.mean(), b.invocation_ms.mean());
+  EXPECT_EQ(a.sample.faults.total_faults(), b.sample.faults.total_faults());
+  EXPECT_EQ(a.sample.disk.read_requests, b.sample.disk.read_requests);
+}
+
+TEST(ExperimentRunner, CellDoesNotDependOnTheSystemsListedBeforeIt) {
+  // Each (system, rep) runs on its own platform, so device jitter drawn by
+  // Firecracker's test phase cannot leak into REAP's cell.
+  ExpectSameCell(CellUnder("image", "B", R"(["reap"])", "reap"),
+                 CellUnder("image", "B", R"(["firecracker", "reap"])", "reap"));
+}
+
+TEST(ExperimentRunner, RatioCellsGetTheSameInputInEverySystem) {
+  // A ratio input's content depends on the rep only, not on the system's
+  // position in the list.
+  ExpectSameCell(CellUnder("json", "2x", R"(["faasnap"])", "faasnap"),
+                 CellUnder("json", "2x", R"(["cached", "faasnap"])", "faasnap"));
+}
+
+TEST(ExperimentRunner, TraceHasOneTrackPerSystemAndRep) {
+  Result<ExperimentConfig> config = Parse(R"({
+    "functions": ["json"],
+    "systems": ["reap", "faasnap"],
+    "reps": 2
+  })");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  config->trace_out = ::testing::TempDir() + "tracks.trace.json";
+  ASSERT_TRUE(RunExperiment(*config).ok());
+  std::ifstream in(config->trace_out);
+  std::stringstream text;
+  text << in.rdbuf();
+  for (const char* track : {"json input=B system=reap rep=0", "json input=B system=reap rep=1",
+                            "json input=B system=faasnap rep=0",
+                            "json input=B system=faasnap rep=1"}) {
+    EXPECT_NE(text.str().find(track), std::string::npos) << track;
+  }
 }
 
 TEST(ExperimentRunner, RatioInputsScaleWork) {
